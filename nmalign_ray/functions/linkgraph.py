@@ -167,7 +167,10 @@ def pagerank(lineitem: ray.data.Dataset,
              driver_max: int = PAGERANK_DRIVER_MAX) -> ray.data.Dataset:
     """lineitem -> (node_kind, key, pagerank): fixed-point integer
     PageRank on the symmetric part<->supplier graph, ``iters`` update
-    rounds from a uniform integer mass.
+    rounds from a uniform integer mass.  The distributed form looks each
+    edge source's rank up in its shard, so it needs every source node to
+    have an in-edge; the symmetric graph guarantees that, and a source
+    without one raises ``ValueError``.
 
     Two physical forms, the ``dedup.dup_groups`` LABEL_DRIVER_MAX
     precedent: when the streamed batch-distinct pair partials fit under
@@ -189,6 +192,9 @@ def pagerank(lineitem: ray.data.Dataset,
     nparts = max(32, cluster_cpus())
     pairs = _pair_rows(lineitem, width)
     if driver_max > 0:
+        # the large-graph fallthrough rebuilds its edges from these same
+        # pairs: materialize once so lineitem is not scanned twice
+        pairs = pairs.materialize()
         try:
             # only the gated collect may fall through to the distributed
             # loop — anything after it must stay loud (r5 review f.7)
@@ -248,7 +254,13 @@ def pagerank(lineitem: ray.data.Dataset,
         # node is sorted (pandas groupby index): vectorized rank lookup —
         # this path only runs above the driver gate, i.e. with millions
         # of edges per shard, where a python dict loop would dominate
-        rv = r_arr[np.searchsorted(node, src)]
+        at = np.searchsorted(node, src)
+        if len(src) and (len(node) == 0 or not np.array_equal(
+                node[np.minimum(at, len(node) - 1)], src)):
+            raise ValueError(
+                "pagerank: an edge source has no rank in its shard; every "
+                "source node needs an in-edge (a symmetric graph)")
+        rv = r_arr[at]
         part = pd.Series(rv // deg).groupby(dst).sum()
         out = part.index.to_numpy(np.int64)
         n = len(out)

@@ -1008,6 +1008,7 @@ WITH h AS (
   SELECT DISTINCT ('0x' || substr(md5(t), 1, 16))::UBIGINT AS hv
   FROM (SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
         FROM documents WHERE trim(text) <> '')
+  WHERE t <> ''
 ),
 reg AS (
   SELECT CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,
@@ -2508,6 +2509,7 @@ WITH h AS (
   FROM (SELECT source,
                unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
         FROM documents WHERE trim(text) <> '')
+  WHERE t <> ''
 ),
 reg AS (
   SELECT source, CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,

@@ -1,4 +1,4 @@
-"""Indel (insertion/deletion-only) distance and ratio, vectorized over windows.
+"""Indel (insertion/deletion-only) distance and ratio, batched over windows.
 
 Semantics match ``rapidfuzz.distance.Indel`` / ``fuzz.ratio``:
 
@@ -6,27 +6,28 @@ Semantics match ``rapidfuzz.distance.Indel`` / ``fuzz.ratio``:
 * ``indel_ratio(s1, s2) = 100 * (1 - distance / (len1 + len2))``
   (100.0 when both empty).
 
-``fuzz.partial_ratio`` (see ``partial.py``) needs the ratio of one fixed
-needle against MANY substrings (windows) of one haystack; the batched
-kernel here advances all windows through the DP lock-step, using the same
-running-minimum trick as ``levenshtein.py`` (substitution edges carry a
-large finite penalty so they are never taken).
+``fuzz.partial_ratio`` (see ``partial.py``) needs the ratio of a needle
+against MANY substrings (windows) of its haystack, for many needles at
+once.  ``indel_distance_windows`` is the one kernel for that and for the
+scalar functions above: every window is a lane of Hyyrö's bit-parallel
+LCS, ``U = V & M;  V = (V + U) | (V - U)``, with the needle held in
+``ceil(len/64)`` words.  ``U`` is a subset of ``V``, so ``V - U`` is
+``V ^ U`` and only the addition carries from word to word.  Windows
+advance lock-step, longest first, and each step advances only the
+windows still longer than the step (``codec.lane_groups``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import PAD_A, PAD_B, encode
-
-_BIG = np.int32(1 << 20)  # effective +inf for the forbidden substitution edge
+from .codec import encode, lane_groups, pattern_masks, text_columns, words
 
 
 def indel_distance(s1: str, s2: str) -> int:
-    a, b = encode(s1), encode(s2)
-    starts = np.zeros(1, dtype=np.int64)
-    ends = np.full(1, len(b), dtype=np.int64)
-    return int(indel_distance_windows(a, b, starts, ends)[0])
+    zero = np.zeros(1, dtype=np.int64)
+    return int(indel_distance_windows(
+        [encode(s1)], [encode(s2)], zero, zero, zero + len(s2))[0])
 
 
 def indel_ratio(s1: str, s2: str) -> float:
@@ -36,25 +37,6 @@ def indel_ratio(s1: str, s2: str) -> float:
     return 100.0 * (1.0 - indel_distance(s1, s2) / (la + lb))
 
 
-def indel_distance_windows(
-    needle: np.ndarray,
-    haystack: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> np.ndarray:
-    """Indel distance of ``needle`` vs each ``haystack[starts[w]:ends[w]]``.
-
-    ``needle``/``haystack`` are uint32 codepoint arrays; returns int64 (W,).
-    Dispatches to the bit-parallel LCS kernel (one uint64 word per window
-    per step — the same Hyyrö bit-vector idea rapidfuzz's C++ uses) when
-    the needle fits one machine word; the padded row-DP is the general
-    fallback.  Both paths are exact and tested against a brute-force DP.
-    """
-    if 0 < len(needle) <= 63:
-        return _indel_windows_bitparallel(needle, haystack, starts, ends)
-    return _indel_windows_dp(needle, haystack, starts, ends)
-
-
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -62,99 +44,50 @@ def _popcount64(v: np.ndarray) -> np.ndarray:
     return _POPCNT8[v.view(np.uint8)].reshape(len(v), 8).sum(axis=1, dtype=np.int64)
 
 
-def _indel_windows_bitparallel(
-    needle: np.ndarray,
-    haystack: np.ndarray,
+def indel_distance_windows(
+    needles: list[np.ndarray],
+    haystacks: list[np.ndarray],
+    job: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
 ) -> np.ndarray:
-    """Bit-parallel LCS over all windows lock-step: per haystack step t,
-    every window advances its one-word state V with
-    ``U = V & M;  V = (V + U) | (V - U)`` (verified against the DP);
-    ``indel = len1 + len2 - 2 * LCS`` with ``LCS = popcount(~V)``.
-    A finished window sees M = 0, which makes the update a no-op."""
-    l1 = len(needle)
-    w = len(starts)
-    if w == 0:
-        return np.empty(0, dtype=np.int64)
-    lens = (ends - starts).astype(np.int64)
-    full = np.uint64((1 << l1) - 1)
+    """Indel distance of ``needles[job[w]]`` against the window
+    ``haystacks[job[w]][starts[w]:ends[w]]`` for every window ``w``.
 
-    # per-position pattern masks for the (shared) haystack, padded with
-    # lmax zero-masks so `starts + t` never needs clipping and finished
-    # windows read a zero mask (a zero-mask step is a state no-op)
-    pm: dict[int, int] = {}
-    for i, c in enumerate(needle.tolist()):
-        pm[c] = pm.get(c, 0) | (1 << i)
-    h = len(haystack)
-    lmax = int(lens.max(initial=0))
-    pmh = np.zeros(h + lmax + 1, dtype=np.uint64)
-    if h:
-        pmh[:h] = np.fromiter(
-            (pm.get(c, 0) for c in haystack.tolist()), dtype=np.uint64, count=h
-        )
-    # zero the positions past each window's own end: a window may end
-    # before the haystack does, and real characters there must not match
-    v = np.full(w, full, dtype=np.uint64)
-    starts64 = starts.astype(np.int64)
-    ends64 = ends.astype(np.int64)
-    for t in range(lmax):
-        pos = starts64 + t
-        m = np.where(pos < ends64, pmh[pos], np.uint64(0))
-        u = v & m
-        v = ((v + u) | (v - u)) & full
-    lcs = _popcount64((~v) & full)
-    return l1 + lens - 2 * lcs
-
-
-def _indel_windows_dp(
-    needle: np.ndarray,
-    haystack: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> np.ndarray:
-    w = len(starts)
-    lens = (ends - starts).astype(np.int64)
-    l1 = len(needle)
-    if w == 0:
-        return np.empty(0, dtype=np.int64)
-    lmax = max(1, int(lens.max(initial=0)))
-
-    # Gather windows into a padded (W, lmax) matrix.
-    idx = starts[:, None] + np.arange(lmax, dtype=np.int64)[None, :]
-    mask = idx < ends[:, None]
-    win = np.full((w, lmax), PAD_B, dtype=np.uint32)
-    if len(haystack):
-        np.copyto(win, haystack[np.clip(idx, 0, len(haystack) - 1)], where=mask)
-
-    width = lmax + 1
-    col = np.arange(width, dtype=np.int32)
-    prev = np.broadcast_to(col, (w, width)).copy()
-    cand = np.empty((w, width), dtype=np.int32)
-    for i in range(1, l1 + 1):
-        ci = np.uint32(needle[i - 1])
-        eq = win == ci  # (w, lmax)
-        # match edge (diagonal, cost 0) allowed only on equality
-        np.add(prev[:, :-1], _BIG, out=cand[:, 1:])
-        np.subtract(cand[:, 1:], eq * _BIG, out=cand[:, 1:])
-        np.minimum(cand[:, 1:], prev[:, 1:] + 1, out=cand[:, 1:])
-        cand[:, 0] = i
-        cand -= col
-        np.minimum.accumulate(cand, axis=1, out=cand)
-        cand += col
-        prev, cand = cand, prev
-    return prev[np.arange(w), lens].astype(np.int64)
-
-
-def indel_ratio_windows(
-    needle: np.ndarray,
-    haystack: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> np.ndarray:
-    """``fuzz.ratio`` (0..100, float64) of needle vs each window."""
-    lens = (ends - starts).astype(np.int64)
-    denom = len(needle) + lens
-    dist = indel_distance_windows(needle, haystack, starts, ends)
-    out = np.where(denom > 0, 100.0 * (1.0 - dist / np.maximum(denom, 1)), 100.0)
+    ``needles``/``haystacks`` are uint32 codepoint arrays; returns int64.
+    ``LCS = popcount(~V)``: the state starts all ones, and bits above a
+    needle's length never see a match, so they stay ones.
+    """
+    peq, first_row, alphabet = pattern_masks(needles)
+    cols, hay_start = text_columns(haystacks, alphabet)
+    nlen = np.fromiter((len(n) for n in needles), dtype=np.int64,
+                       count=len(needles))[job]
+    length = ends - starts
+    order, groups = lane_groups(first_row[job], len(alphabet) + 1,
+                                hay_start[job] + starts, words(nlen), length)
+    state = [np.full(len(pos), ~np.uint64(0)) for pos, _, _, _ in groups]
+    carry = np.zeros(len(order), dtype=np.uint64)
+    last = len(groups) - 1
+    for t in range(int(length.max(initial=0))):
+        for b, ((pos, act, base, off), v_all) in enumerate(zip(groups, state)):
+            a = act[t]
+            if not a:
+                break
+            lanes = slice(0, a) if b == 0 else pos[:a]
+            v = v_all[:a]
+            u = v & peq[base[:a] + cols[off[:a] + t]]
+            s = v + u
+            c = s < v
+            if b:
+                s_in = s + carry[lanes]
+                c |= s_in < s
+                s = s_in
+            if b < last:
+                carry[lanes] = c
+            v_all[:a] = s | (v ^ u)
+    lcs = np.zeros(len(order), dtype=np.int64)
+    for (pos, _, _, _), v_all in zip(groups, state):
+        lcs[pos] += _popcount64(~v_all)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = (nlen + length)[order] - 2 * lcs
     return out

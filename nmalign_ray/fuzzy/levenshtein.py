@@ -1,4 +1,4 @@
-"""Uniform-weight Levenshtein distance, vectorized across string pairs.
+"""Uniform-weight Levenshtein distance, batched across string pairs.
 
 Semantics match ``rapidfuzz.distance.Levenshtein`` with weights (1, 1, 1)
 as used by the reference (``/root/reference/nmalign/lib/align.py:5,60-61``):
@@ -9,38 +9,28 @@ as used by the reference (``/root/reference/nmalign/lib/align.py:5,60-61``):
 * ``cdist(l1, l2, score_cutoff=c)``: similarities below ``c`` are reported
   as 0.0; result dtype is float32 (rapidfuzz's cdist default).
 
-Vectorization strategy: all pairs advance through the row-DP lock-step.
-The horizontal (insertion-chain) dependency of the classic recurrence
-
-    D[i][j] = min(D[i-1][j] + 1, D[i][j-1] + 1, D[i-1][j-1] + cost)
-
-is removed with the running-minimum identity
-
-    D[i][j] = j + min_{k <= j} (C[i][k] - k),
-    C[i][j] = min(D[i-1][j] + 1, D[i-1][j-1] + cost),  C[i][0] = i
-
-so each DP row is a handful of whole-array NumPy ops plus one
-``np.minimum.accumulate`` — no per-character Python.
+Every entry point runs the same kernel, ``_distances``: one pair table,
+and each pair runs Myers' bit-vector algorithm (1999) with the shorter
+string as the needle, held in ``ceil(len/64)`` words that are coupled by
+the horizontal delta of the block form (Hyyrö 2003).  All pairs advance
+lock-step over their haystacks, longest haystack first, and each step
+advances only the pairs whose haystack is still longer than the step
+(``codec.lane_groups``), so a pair costs its own haystack length, not the
+batch's longest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import PAD_A, PAD_B, encode, encode_list, pad_matrix
-
-# Cap on the number of DP cells ((rows of l1) * M * L2max) advanced at once;
-# larger problems are chunked along l1.  ~32M int32 cells ≈ 128 MiB per
-# temporary, well inside a worker heap.
-_MAX_CELLS = 32_000_000
+from .codec import WORD, encode, encode_list, lane_groups, pattern_masks, \
+    text_columns, words
 
 
 def levenshtein_distance(s1: str, s2: str) -> int:
-    """Scalar uniform-weight Levenshtein distance (reference oracle path)."""
-    out = _cdist_block(
-        *pad_matrix([encode(s1)], PAD_A), *pad_matrix([encode(s2)], PAD_B)
-    )
-    return int(out[0, 0])
+    """Uniform-weight Levenshtein distance of two strings."""
+    pair = np.zeros(1, dtype=np.int64)
+    return int(_distances([encode(s1), encode(s2)], pair, pair + 1)[0])
 
 
 def levenshtein_cdist(
@@ -59,66 +49,18 @@ def levenshtein_cdist(
     rapidfuzz.  Thread-based ``workers`` parallelism is intentionally
     absent: the Ray pipeline parallelizes across documents instead.
     """
-    if processor is not None:
-        l1 = [processor(s) for s in l1]
-        l2 = [processor(s) for s in l2]
-    enc1 = encode_list(l1)
-    a_mat, a_len = pad_matrix(enc1, PAD_A)
-    b_mat, b_len = pad_matrix(encode_list(l2), PAD_B)
-    n, m = len(l1), len(l2)
-    l2max = b_mat.shape[1]
-
-    dist = np.empty((n, m), dtype=np.int64)
-    # Myers bit-parallel fast path for needles that fit one machine word —
-    # but only when the pair count amortizes its per-step setup (measured
-    # crossover ~128 pairs; below that the padded row-DP's fewer, larger
-    # numpy ops win).  Long rows (>63 chars) always take the row-DP.
-    myers_rows = np.flatnonzero((a_len >= 1) & (a_len <= 63))
-    if len(myers_rows) * m < 128:
-        myers_rows = myers_rows[:0]
-        other_rows = np.flatnonzero(a_len > 0)
-    else:
-        other_rows = np.flatnonzero(a_len > 63)
-    empty_rows = np.flatnonzero(a_len == 0)
-    if len(myers_rows):
-        dist[myers_rows] = _cdist_myers(
-            [enc1[i] for i in myers_rows], b_mat, b_len
-        )
-    if len(empty_rows):
-        dist[empty_rows] = np.broadcast_to(b_len, (len(empty_rows), m))
-    if len(other_rows):
-        rows_per_chunk = max(1, _MAX_CELLS // max(1, m * l2max))
-        for lo in range(0, len(other_rows), rows_per_chunk):
-            sel = other_rows[lo : lo + rows_per_chunk]
-            dist[sel] = _cdist_block(a_mat[sel], a_len[sel], b_mat, b_len)
-
-    denom = np.maximum(a_len[:, None], b_len[None, :])
-    frac = dist / np.maximum(denom, 1)
-    sim = np.where(denom > 0, 1.0 - frac, 1.0).astype(np.float32)
-    if score_cutoff is not None and score_cutoff > 0:
-        sim[sim < score_cutoff] = 0.0
-    return sim
+    return levenshtein_cdist_many([(l1, l2)], score_cutoff, processor)[0]
 
 
 def levenshtein_cdist_many(jobs, score_cutoff=None, processor=None):
-    """Batched ``levenshtein_cdist`` across MANY (l1, l2) jobs at once —
-    returns ``[cdist(l1, l2), ...]`` bit-identically (distances are exact
-    integers and the normalization applies the same scalar float ops
-    elementwise), but with the per-step numpy-call overhead amortized
-    over every pair of every job.
+    """``[levenshtein_cdist(l1, l2), ...]`` over many ``(l1, l2)`` jobs in
+    one kernel pass.
 
-    Motivation (round-5 profile): the per-document matrices are tiny
-    (3x3..12x12, strings ~40-60 chars), so the per-job kernels are bound
-    by numpy CALL overhead, not compute — ~55% of the serial aligner.
-    Batching one actor batch's documents into a single pair-table pass
-    cuts that overhead by the batch width.
-
-    Implementation: one flat pair table over a shared string pool.  Each
-    pair advances Myers' bit-vector DP (needle = the SHORTER side —
-    Levenshtein is symmetric — so one uint64 word covers needles <= 63
-    chars for nearly every real segment) lock-step over haystack
-    positions, all pairs at once on (P,) arrays.  Pairs whose BOTH sides
-    exceed 63 chars fall back to the padded row-DP per job (rare).
+    The per-document matrices of an aligner batch are tiny, so one pass
+    per document would be bound by NumPy call overhead; one flat pair
+    table over a shared string pool amortizes it over every pair of every
+    job.  Distances are exact integers and the normalization is
+    elementwise, so each job's matrix does not depend on the other jobs.
     """
     if processor is not None:
         jobs = [
@@ -135,8 +77,6 @@ def levenshtein_cdist_many(jobs, score_cutoff=None, processor=None):
         pool.extend(encode_list(l2))
         a_ids.append(a)
         b_ids.append(b)
-    pool_len = np.fromiter((len(c) for c in pool), dtype=np.int64,
-                           count=len(pool))
 
     outs = [np.empty((len(a), len(b)), dtype=np.float32)
             for a, b in zip(a_ids, b_ids)]
@@ -159,41 +99,11 @@ def levenshtein_cdist_many(jobs, score_cutoff=None, processor=None):
     pair_job = np.concatenate(parts_job)
     pair_i = np.concatenate(parts_i)
     pair_j = np.concatenate(parts_j)
-    la = pool_len[pair_a]
-    lb = pool_len[pair_b]
 
-    dist = np.empty(len(pair_a), dtype=np.int64)
-    za = la == 0
-    zb = lb == 0
-    dist[za] = lb[za]
-    dist[zb] = la[zb]  # both-empty pairs end at 0 either way
-    nontriv = ~(za | zb)
-    needle = np.where(la <= lb, pair_a, pair_b)
-    hay = np.where(la <= lb, pair_b, pair_a)
-    nlen = np.minimum(la, lb)
-    myers = nontriv & (nlen <= 63)
-    rest = nontriv & ~myers
-    if myers.any():
-        dist[myers] = _myers_pairs(pool, needle[myers], hay[myers], pool_len)
-    if rest.any():
-        # both sides > 63 chars: padded row-DP per job on just the
-        # involved rows/columns (exact, same ints)
-        ridx = np.flatnonzero(rest)
-        rjobs = pair_job[ridx]  # ascending: pair_job is sorted
-        uniq_jobs, first = np.unique(rjobs, return_index=True)
-        splits = np.append(first, len(ridx))
-        for t in range(len(uniq_jobs)):
-            sel = ridx[splits[t]:splits[t + 1]]
-            ua = np.unique(pair_a[sel])
-            ub = np.unique(pair_b[sel])
-            a_mat, a_len = pad_matrix([pool[i] for i in ua.tolist()], PAD_A)
-            b_mat, b_len = pad_matrix([pool[i] for i in ub.tolist()], PAD_B)
-            sub = _cdist_block(a_mat, a_len, b_mat, b_len)
-            ra = np.searchsorted(ua, pair_a[sel])
-            rb = np.searchsorted(ub, pair_b[sel])
-            dist[sel] = sub[ra, rb]
-
-    denom = np.maximum(la, lb)
+    dist = _distances(pool, pair_a, pair_b)
+    pool_len = np.fromiter((len(c) for c in pool), dtype=np.int64,
+                           count=len(pool))
+    denom = np.maximum(pool_len[pair_a], pool_len[pair_b])
     frac = dist / np.maximum(denom, 1)
     sim = np.where(denom > 0, 1.0 - frac, 1.0).astype(np.float32)
     if score_cutoff is not None and score_cutoff > 0:
@@ -210,162 +120,89 @@ def levenshtein_cdist_many(jobs, score_cutoff=None, processor=None):
     return outs
 
 
-def _myers_pairs(pool: list[np.ndarray], n_ids: np.ndarray,
-                 h_ids: np.ndarray, pool_len: np.ndarray) -> np.ndarray:
-    """Myers 1999 bit-vector edit distance over an explicit PAIR LIST:
-    pair p advances needle ``pool[n_ids[p]]`` against haystack
-    ``pool[h_ids[p]]``; every step is ~a dozen uint64 ops on (P,)
-    arrays.  Exact for needle lengths 1..63 (brute-DP fuzzed in tests;
-    ``_cdist_myers`` is the all-pairs-of-one-matrix sibling)."""
-    ones = np.uint64(1)
+def _distances(pool: list[np.ndarray], a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Levenshtein distance of ``pool[a[p]]`` and ``pool[b[p]]`` for every
+    pair ``p`` (int64).  The shorter side is the needle (the distance is
+    symmetric); an empty needle's distance is the other length."""
+    pool_len = np.fromiter((len(c) for c in pool), dtype=np.int64,
+                           count=len(pool))
+    la, lb = pool_len[a], pool_len[b]
+    shorter_a = la <= lb
+    nlen, dist = np.minimum(la, lb), np.maximum(la, lb)
+    live = np.flatnonzero(nlen > 0)
+    if len(live):
+        dist[live] = _myers(
+            pool,
+            np.where(shorter_a, a, b)[live],
+            np.where(shorter_a, b, a)[live],
+            nlen[live],
+            dist[live],
+        )
+    return dist
+
+
+def _myers(pool: list[np.ndarray], n_ids: np.ndarray, h_ids: np.ndarray,
+           nlen: np.ndarray, hlen: np.ndarray) -> np.ndarray:
+    """Myers' bit-vector edit distance of needle ``pool[n_ids[p]]`` (of
+    length ``nlen[p] > 0``) against haystack ``pool[h_ids[p]]`` (of length
+    ``hlen[p]``) for every pair ``p``.
+
+    Word ``b`` of a needle advances with the horizontal delta ``hin`` that
+    word ``b-1`` leaves at its last row (+1 for word 0: the top DP row is
+    ``D[0][j] = j``) and hands its own ``hout`` to word ``b+1``; the
+    distance tracks ``hout`` of the needle's last row.  Bits above a
+    needle's length only ever influence higher bits, so they need no mask.
+    """
+    one = np.uint64(1)
     un, n_inv = np.unique(n_ids, return_inverse=True)
     uh, h_inv = np.unique(h_ids, return_inverse=True)
-    hay_mat, hay_len_u = pad_matrix([pool[i] for i in uh.tolist()], PAD_B)
-    nh, l2max = hay_mat.shape
-    uniq, inv = np.unique(hay_mat, return_inverse=True)
-    k = len(uniq) + 1
-    idx_mat = (inv.reshape(nh, l2max) + 1).astype(np.int64)
+    peq, first_row, alphabet = pattern_masks([pool[i] for i in un.tolist()])
+    k = len(alphabet) + 1
+    cols, hay_start = text_columns([pool[i] for i in uh.tolist()], alphabet)
+    nwords = words(nlen)
+    order, groups = lane_groups(first_row[n_inv], k, hay_start[h_inv],
+                                nwords, hlen)
+    nlen, nwords = nlen[order], nwords[order]
+    state = [(
+        one << np.where(nwords[pos] == b + 1, (nlen[pos] - 1) % WORD,
+                        WORD - 1).astype(np.uint64),  # the word's last row
+        np.full(len(pos), ~np.uint64(0)),  # pv
+        np.zeros(len(pos), dtype=np.uint64),  # mv
+    ) for b, (pos, _, _, _) in enumerate(groups)]
 
-    # vectorized peq build: one bitwise_or.at over every needle char
-    nn = len(un)
-    lens = pool_len[un]
-    peq = np.zeros((nn, k), dtype=np.uint64)
-    if int(lens.sum()):
-        cat = np.concatenate([pool[i] for i in un.tolist()])
-        rows = np.repeat(np.arange(nn, dtype=np.int64), lens)
-        starts = np.cumsum(lens) - lens
-        pos = np.arange(len(cat), dtype=np.int64) - np.repeat(starts, lens)
-        col = np.searchsorted(uniq, cat)
-        col_c = np.minimum(col, len(uniq) - 1)
-        found = uniq[col_c] == cat
-        col = np.where(found, col_c + 1, 0)
-        np.bitwise_or.at(
-            peq, (rows, col), ones << pos.astype(np.uint64))
-        peq[:, 0] = np.uint64(0)  # chars absent from every haystack
-    peq_flat = peq.ravel()
-
-    p = len(n_ids)
-    nlen = pool_len[n_ids].astype(np.uint64)
-    full = (ones << nlen) - ones
-    high = ones << (nlen - ones)
-    pv = full.copy()
-    mv = np.zeros(p, dtype=np.uint64)
-    score = pool_len[n_ids].astype(np.int64).copy()
-    out = np.empty(p, dtype=np.int64)
-    hlen = hay_len_u[h_inv]
-    if (hlen == 0).any():
-        out[hlen == 0] = score[hlen == 0]
-    base = n_inv.astype(np.int64) * k
-    for t in range(int(hlen.max(initial=0))):
-        eq = peq_flat[base + idx_mat[h_inv, t]]
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        score += ((ph & high) != 0).astype(np.int64)
-        score -= ((mh & high) != 0).astype(np.int64)
-        ph = ((ph << ones) | ones) & full
-        mh = (mh << ones) & full
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-        finished = hlen == t + 1
-        if finished.any():
-            out[finished] = score[finished]
-    return out
-
-
-def _cdist_myers(
-    needles: list[np.ndarray], b_mat: np.ndarray, b_len: np.ndarray
-) -> np.ndarray:
-    """Myers' bit-vector edit distance (1999), vectorized across ALL
-    (needle, haystack) pairs at once: the per-pair word state advances
-    lock-step over haystack positions; each step is ~a dozen uint64 ops
-    on (N, M) arrays.  Exact for needle lengths 1..63 (verified against
-    the brute-force DP in tests)."""
-    n = len(needles)
-    m, l2max = b_mat.shape
-    ones = np.uint64(1)
-
-    # encode the haystack alphabet: distinct codepoints -> column index;
-    # anything else (incl. padding) -> the zero column
-    uniq, inv = np.unique(b_mat, return_inverse=True)
-    char_col = {int(c): k + 1 for k, c in enumerate(uniq.tolist())}
-    k = len(uniq) + 1
-    idx_mat = (inv.reshape(m, l2max) + 1).astype(np.int64)
-
-    peq = np.zeros((n, k), dtype=np.uint64)
-    full = np.empty((n, 1), dtype=np.uint64)
-    high = np.empty((n, 1), dtype=np.uint64)
-    mlen = np.empty((n, 1), dtype=np.int64)
-    for i, nd in enumerate(needles):
-        li = len(nd)
-        full[i, 0] = (1 << li) - 1
-        high[i, 0] = 1 << (li - 1)
-        mlen[i, 0] = li
-        row = peq[i]
-        for pos, c in enumerate(nd.tolist()):
-            col = char_col.get(int(c))
-            if col is not None:
-                row[col] |= np.uint64(1 << pos)
-
-    pv = np.broadcast_to(full, (n, m)).copy()
-    mv = np.zeros((n, m), dtype=np.uint64)
-    score = np.broadcast_to(mlen, (n, m)).copy()
-    out = np.empty((n, m), dtype=np.int64)
-    done0 = b_len == 0
-    if done0.any():
-        out[:, done0] = mlen
-    for t in range(l2max):
-        eq = peq[:, idx_mat[:, t]]  # (n, m) gather
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        score += ((ph & high) != 0).astype(np.int64)
-        score -= ((mh & high) != 0).astype(np.int64)
-        ph = ((ph << ones) | ones) & full
-        mh = (mh << ones) & full
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-        finished = b_len == t + 1
-        if finished.any():
-            out[:, finished] = score[:, finished]
-    return out
-
-
-def _cdist_block(
-    a_mat: np.ndarray, a_len: np.ndarray, b_mat: np.ndarray, b_len: np.ndarray
-) -> np.ndarray:
-    """Raw distances for one chunk of l1 rows vs all of l2. Returns (n, m) int."""
-    n = a_mat.shape[0]
-    m, l2max = b_mat.shape
-    width = l2max + 1
-    col = np.arange(width, dtype=np.int32)
-
-    # prev[r, c, j] = D[i-1][j] for pair (r, c)
-    prev = np.broadcast_to(col, (n, m, width)).copy()
-    out = np.empty((n, m), dtype=np.int64)
-    done0 = a_len == 0
-    if done0.any():
-        out[done0] = np.broadcast_to(b_len, (int(done0.sum()), m))
-
-    imax = int(a_len.max(initial=0))
-    cand = np.empty((n, m, width), dtype=np.int32)
-    gather_m = np.arange(m)
-    for i in range(1, imax + 1):
-        ai = a_mat[:, i - 1]  # (n,)
-        eq = ai[:, None, None] == b_mat[None, :, :]  # (n, m, l2max)
-        # C[i][j] for j>=1: min(sub, delete); C[i][0] = i
-        np.add(prev[:, :, :-1], 1, out=cand[:, :, 1:])
-        np.subtract(cand[:, :, 1:], eq, out=cand[:, :, 1:])  # prev[j-1] + (1 - eq)
-        np.minimum(cand[:, :, 1:], prev[:, :, 1:] + 1, out=cand[:, :, 1:])
-        cand[:, :, 0] = i
-        # horizontal pass: D[i][j] = j + cummin(C - j)
-        cand -= col
-        np.minimum.accumulate(cand, axis=2, out=cand)
-        cand += col
-        finished = a_len == i
-        if finished.any():
-            out[finished] = cand[finished][:, gather_m, b_len]
-        prev, cand = cand, prev
+    score = nlen.copy()
+    hout = np.zeros(len(nlen), dtype=np.int64)  # per lane, latest word's
+    act0 = groups[0][1]
+    for t in range(int(hlen.max())):
+        for b, ((pos, act, base, off), (high, pv_all, mv_all)) in enumerate(
+                zip(groups, state)):
+            a = act[t]
+            if not a:
+                break
+            lanes = slice(0, a) if b == 0 else pos[:a]
+            pv, mv = pv_all[:a], mv_all[:a]
+            eq = peq[base[:a] + cols[off[:a] + t]]
+            xv = eq | mv
+            if b:
+                hin = hout[lanes]
+                hin_neg = (hin < 0).astype(np.uint64)
+                eq |= hin_neg
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            hout[lanes] = np.subtract((ph & high[:a]) != 0,
+                                      (mh & high[:a]) != 0, dtype=np.int64)
+            ph <<= one
+            mh <<= one
+            if b:
+                ph |= (hin > 0).astype(np.uint64)
+                mh |= hin_neg
+            else:
+                ph |= one
+            pv_all[:a] = mh | ~(xv | ph)
+            mv_all[:a] = ph & xv
+        score[:act0[t]] += hout[:act0[t]]
+    out = np.empty_like(score)
+    out[order] = score
     return out

@@ -14,9 +14,11 @@ end.  The scan enumerates, in order,
 skipping windows whose boundary character does not occur in the shorter
 string (they cannot start/end an optimal alignment — rapidfuzz's char-set
 pruning), and keeps the FIRST window that strictly improves the running
-best.  All window ratios are computed in one batched Indel DP
-(``indel.indel_ratio_windows``); "first strict improvement" is then the
-first occurrence of the running maximum, reproduced exactly.
+best.  The ratios of every window of every pair in a call come from one
+bit-parallel Indel pass (``indel.indel_distance_windows``), whatever the
+needle length; "first strict improvement" is then the first occurrence
+of the running maximum, reproduced exactly.  ``partial_ratio_alignment``
+is a one-pair call of ``partial_ratio_alignment_many``.
 
 The reference's own FIXME (``align.py:170-173``) documents that this is a
 windowed approximation rather than true Smith–Waterman; that quirk is
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import encode
-from .indel import _popcount64, indel_ratio_windows
+from .indel import indel_distance_windows
 
 
 @dataclass
@@ -76,77 +78,45 @@ def partial_ratio_alignment(
     if processor is not None:
         s1 = processor(s1)
         s2 = processor(s2)
-    if len(s1) <= len(s2):
-        res = _search(s1, s2)
-    else:
-        res = _search(s2, s1)
-        res = ScoreAlignment(
-            res.score, res.dest_start, res.dest_end, res.src_start, res.src_end
-        )
-    # Symmetric retry for equal-length inputs (rapidfuzz behavior): the
-    # window search is not symmetric, so try the flipped orientation too.
-    if res.score != 100.0 and len(s1) == len(s2):
-        res2 = _search(s2, s1)
-        if res2.score > res.score:
-            res = ScoreAlignment(
-                res2.score, res2.dest_start, res2.dest_end, res2.src_start, res2.src_end
-            )
+    res = partial_ratio_alignment_many([(s1, s2)])[0]
     if score_cutoff is not None and res.score < score_cutoff:
         return None
     return res
 
 
-def partial_ratio_alignment_many(pairs) -> list[ScoreAlignment]:
-    """Batched ``partial_ratio_alignment`` over many ``(s1, s2)`` pairs
-    (processor already applied by the caller).
+def _flip(res: ScoreAlignment) -> ScoreAlignment:
+    return ScoreAlignment(
+        res.score, res.dest_start, res.dest_end, res.src_start, res.src_end
+    )
 
-    Semantics are pair-for-pair identical to the scalar form — shorter
-    side is the needle, equal-length pairs get the symmetric retry, the
-    char-set pruning and first-strict-improvement window selection are
-    reproduced — but every window of every pair runs through ONE
-    lock-step bit-parallel LCS pass.  The per-pair matrices this serves
-    are small (a handful of candidates per subsegmentation screen), so
-    the scalar form was numpy-call-overhead-bound, exactly like the main
-    similarity matrix before ``levenshtein_cdist_many``; window lengths
-    never exceed the needle length (≤ 63 for the bit-parallel class), so
-    the global loop stays ≤ 63 steps however many pairs are batched."""
-    jobs: list[tuple[str, str]] = []
-    swapped: list[bool] = []
-    for s1, s2 in pairs:
-        if len(s1) <= len(s2):
-            jobs.append((s1, s2))
-            swapped.append(False)
-        else:
-            jobs.append((s2, s1))
-            swapped.append(True)
-    results = _search_many(jobs)
-    out: list[ScoreAlignment] = []
-    retry_idx: list[int] = []
-    for k, ((s1, s2), sw, res) in enumerate(zip(pairs, swapped, results)):
-        if sw:
-            res = ScoreAlignment(
-                res.score, res.dest_start, res.dest_end, res.src_start, res.src_end
-            )
-        out.append(res)
-        if res.score != 100.0 and len(s1) == len(s2):
-            retry_idx.append(k)
-    if retry_idx:
-        retries = _search_many([(pairs[k][1], pairs[k][0]) for k in retry_idx])
-        for k, res2 in zip(retry_idx, retries):
-            if res2.score > out[k].score:
-                out[k] = ScoreAlignment(
-                    res2.score,
-                    res2.dest_start,
-                    res2.dest_end,
-                    res2.src_start,
-                    res2.src_end,
-                )
+
+def partial_ratio_alignment_many(pairs) -> list[ScoreAlignment]:
+    """``[partial_ratio_alignment(s1, s2), ...]`` over many ``(s1, s2)``
+    pairs (processor already applied by the caller), in one kernel pass.
+
+    The shorter side is the needle.  The window search is not symmetric,
+    so rapidfuzz retries equal-length pairs with the sides swapped and
+    keeps the better score; here the swapped searches join the same pass
+    (a first score of 100.0 is never beaten, so running the retry
+    unconditionally changes nothing).  The per-pair matrices this serves
+    are small (a handful of candidates per subsegmentation screen), so one
+    pass per pair would be bound by NumPy call overhead."""
+    retry = [k for k, (s1, s2) in enumerate(pairs) if len(s1) == len(s2)]
+    jobs = [(s1, s2) if len(s1) <= len(s2) else (s2, s1) for s1, s2 in pairs]
+    results = _search_many(jobs + [(pairs[k][1], pairs[k][0]) for k in retry])
+    out = [
+        res if len(s1) <= len(s2) else _flip(res)
+        for (s1, s2), res in zip(pairs, results)
+    ]
+    for k, res2 in zip(retry, results[len(pairs):]):
+        if res2.score > out[k].score:
+            out[k] = _flip(res2)
     return out
 
 
 def _enumerate_windows(needle: np.ndarray, hay: np.ndarray):
-    """Window starts/ends for one ``_search`` job, char-set pruned, in the
-    scalar form's exact enumeration order (prefixes, full, suffixes)."""
+    """Window starts/ends for one search job, char-set pruned, in the
+    enumeration order of the module docstring (prefixes, full, suffixes)."""
     l1, l2 = len(needle), len(hay)
     n_pre = min(l1, l2 + 1) - 1
     pre_ends = np.arange(1, n_pre + 1, dtype=np.int64)
@@ -168,18 +138,21 @@ def _enumerate_windows(needle: np.ndarray, hay: np.ndarray):
 
 
 def _search_many(jobs) -> list[ScoreAlignment]:
-    """Batched ``_search`` over many ``(shorter, longer)`` jobs."""
+    """Best window of each ``(shorter, longer)`` job; the shorter string
+    is the needle.  Every window of every job runs through one
+    ``indel_distance_windows`` call."""
     results: list[ScoreAlignment | None] = [None] * len(jobs)
-    batch: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    batch: list[int] = []
+    needles: list[np.ndarray] = []
+    hays: list[np.ndarray] = []
+    win_job: list[np.ndarray] = []
+    win_starts: list[np.ndarray] = []
+    win_ends: list[np.ndarray] = []
     for j, (sh, lg) in enumerate(jobs):
-        l1, l2 = len(sh), len(lg)
+        l1 = len(sh)
         if l1 == 0:
-            results[j] = ScoreAlignment(100.0 if l2 == 0 else 0.0, 0, 0, 0, 0)
-            continue
-        if l1 > 63:
-            # general row-DP class — rare (needles here are chunk segments);
-            # the scalar path already batches its windows internally
-            results[j] = _search(sh, lg)
+            # ratio of "" vs any non-empty window is 0; vs "" it is 100
+            results[j] = ScoreAlignment(100.0 if not lg else 0.0, 0, 0, 0, 0)
             continue
         needle = encode(sh)
         hay = encode(lg)
@@ -187,62 +160,28 @@ def _search_many(jobs) -> list[ScoreAlignment]:
         if not len(starts):
             results[j] = ScoreAlignment(0.0, 0, l1, 0, l1)
             continue
-        batch.append((j, needle, hay, starts, ends))
+        win_job.append(np.full(len(starts), len(batch), dtype=np.int64))
+        batch.append(j)
+        needles.append(needle)
+        hays.append(hay)
+        win_starts.append(starts)
+        win_ends.append(ends)
     if not batch:
         return results
 
-    # one global PMH array (per-job pattern masks over its haystack) and
-    # one global window table; per-job regions stay contiguous so the
-    # first-occurrence argmax slices back out in enumeration order
-    pmh_parts: list[np.ndarray] = []
-    gstarts_parts: list[np.ndarray] = []
-    gends_parts: list[np.ndarray] = []
-    fullw_parts: list[np.ndarray] = []
-    l1w_parts: list[np.ndarray] = []
-    offset = 0
-    for _, needle, hay, starts, ends in batch:
-        l1 = len(needle)
-        uniq, inv = np.unique(needle, return_inverse=True)
-        masks = np.zeros(len(uniq), dtype=np.uint64)
-        np.bitwise_or.at(masks, inv, np.uint64(1) << np.arange(l1, dtype=np.uint64))
-        if len(hay):
-            idx = np.searchsorted(uniq, hay)
-            idxc = np.minimum(idx, len(uniq) - 1)
-            pmh_parts.append(
-                np.where(uniq[idxc] == hay, masks[idxc], np.uint64(0))
-            )
-        gstarts_parts.append(starts + offset)
-        gends_parts.append(ends + offset)
-        full = np.uint64((1 << l1) - 1)
-        fullw_parts.append(np.full(len(starts), full, dtype=np.uint64))
-        l1w_parts.append(np.full(len(starts), l1, dtype=np.int64))
-        offset += len(hay)
-    pmh = (
-        np.concatenate(pmh_parts) if pmh_parts else np.zeros(1, dtype=np.uint64)
-    )
-    gstarts = np.concatenate(gstarts_parts)
-    gends = np.concatenate(gends_parts)
-    fullw = np.concatenate(fullw_parts)
-    l1w = np.concatenate(l1w_parts)
-    lens = gends - gstarts
-
-    # Hyyrö LCS update — the global-batch twin of
-    # indel._indel_windows_bitparallel (and the ratio formula of
-    # indel_ratio_windows): change BOTH or the window scores diverge;
-    # TestPartialRatioMany fuzzes the two forms against each other
-    v = fullw.copy()
-    for t in range(int(lens.max(initial=0))):
-        pos = gstarts + t
-        live = pos < gends
-        m = np.where(live, pmh[np.where(live, pos, 0)], np.uint64(0))
-        u = v & m
-        v = ((v + u) | (v - u)) & fullw
-    lcs = _popcount64((~v) & fullw)
-    ratios = 100.0 * (1.0 - (l1w + lens - 2 * lcs) / (l1w + lens))
+    starts = np.concatenate(win_starts)
+    ends = np.concatenate(win_ends)
+    job = np.concatenate(win_job)
+    l1w = np.fromiter((len(n) for n in needles), dtype=np.int64,
+                      count=len(needles))[job]
+    lens = ends - starts
+    dist = indel_distance_windows(needles, hays, job, starts, ends)
+    ratios = 100.0 * (1.0 - dist / (l1w + lens))
 
     lo = 0
-    for j, needle, hay, starts, ends in batch:
-        hi = lo + len(starts)
+    for j, needle, w_starts, w_ends in zip(batch, needles, win_starts,
+                                           win_ends):
+        hi = lo + len(w_starts)
         r = ratios[lo:hi]
         lo = hi
         best = int(np.argmax(r))  # first occurrence == first strict improvement
@@ -251,52 +190,6 @@ def _search_many(jobs) -> list[ScoreAlignment]:
             results[j] = ScoreAlignment(0.0, 0, l1, 0, l1)
         else:
             results[j] = ScoreAlignment(
-                float(r[best]), 0, l1, int(starts[best]), int(ends[best])
+                float(r[best]), 0, l1, int(w_starts[best]), int(w_ends[best])
             )
     return results
-
-
-def _search(shorter: str, longer: str) -> ScoreAlignment:
-    """Best-window search; ``shorter`` is the needle."""
-    l1, l2 = len(shorter), len(longer)
-    if l1 == 0:
-        # ratio of "" vs any non-empty window is 0; vs "" it is 100.
-        return ScoreAlignment(100.0 if l2 == 0 else 0.0, 0, 0, 0, 0)
-    needle = encode(shorter)
-    hay = encode(longer)
-    char_set = set(needle.tolist())
-
-    starts: list[int] = []
-    ends: list[int] = []
-    ok: list[bool] = []
-    # 1. prefixes longer[:i], i in 1..l1-1 — boundary char longer[i-1]
-    for i in range(1, min(l1, l2 + 1)):
-        starts.append(0)
-        ends.append(i)
-        ok.append(int(hay[i - 1]) in char_set)
-    # 2. full windows longer[i:i+l1], i in 0..l2-l1-1 — boundary char last
-    for i in range(max(0, l2 - l1)):
-        starts.append(i)
-        ends.append(i + l1)
-        ok.append(int(hay[i + l1 - 1]) in char_set)
-    # 3. suffixes longer[i:], i in l2-l1..l2-1 — boundary char first
-    for i in range(max(0, l2 - l1), l2):
-        starts.append(i)
-        ends.append(l2)
-        ok.append(int(hay[i]) in char_set)
-
-    if not starts:
-        return ScoreAlignment(0.0, 0, l1, 0, l1)
-
-    # drop char-set-skipped windows BEFORE the DP — they are never
-    # considered, so computing their scores is pure waste
-    keep = np.asarray(ok)
-    starts_a = np.asarray(starts, dtype=np.int64)[keep]
-    ends_a = np.asarray(ends, dtype=np.int64)[keep]
-    if not len(starts_a):
-        return ScoreAlignment(0.0, 0, l1, 0, l1)
-    ratios = indel_ratio_windows(needle, hay, starts_a, ends_a)
-    best = int(np.argmax(ratios))  # first occurrence of max == first strict improvement
-    if ratios[best] <= 0.0:
-        return ScoreAlignment(0.0, 0, l1, 0, l1)
-    return ScoreAlignment(float(ratios[best]), 0, l1, int(starts_a[best]), int(ends_a[best]))

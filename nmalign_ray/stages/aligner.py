@@ -70,8 +70,9 @@ class AlignChunks:
         # per-document matrices are tiny and numpy-call-overhead-bound, so
         # batching them amortizes ~55% of the aligner CPU (round-5
         # profile).  Bit-identical to the per-chunk path (integer
-        # distances, same elementwise normalization) — pinned by
-        # tests/test_fuzzy.py and the family hash oracles.
+        # distances, same elementwise normalization), and a pair costs
+        # its own length, not the batch's longest — pinned by
+        # tests/test_kernel_equivalence.py and the family hash oracles.
         jobs = []
         job_of_row = []
         for k in range(batch.num_rows):

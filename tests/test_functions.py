@@ -2327,3 +2327,48 @@ class TestSourceHll:
         out = ts.source_hll(ray_session.data.from_arrow(
             self._tbl(["", "  "], ["a", "b"]))).to_pandas()
         assert len(out) == 0
+
+
+class TestHllWhitespacePadding:
+    """DuckDB's trim() strips only spaces, so on tab- or newline-padded
+    text regexp_split leaves empty tokens at the ends; the SQL twins must
+    drop them, as the Python partials' str.split() never yields them."""
+
+    TEXTS = ["\talpha beta\n", "\n\ngamma\t", "\t", "beta\r\n", "  delta  "]
+    SOURCES = ["a", "b", "a", "b", "a"]
+
+    def _sql(self, sql):
+        import duckdb
+
+        con = duckdb.connect()
+        con.register("documents", pa.Table.from_pydict(
+            {"doc_id": pa.array(range(len(self.TEXTS)), pa.int64()),
+             "source": pa.array(self.SOURCES, pa.string()),
+             "text": pa.array(self.TEXTS, pa.string())}))
+        return con.execute(sql).fetchdf()
+
+    def test_hll_distinct_twins_agree(self, ray_session):
+        from nmalign_ray.functions import textstats as ts
+
+        py = ts.hll_distinct(ray_session.data.from_arrow(
+            docs_table(self.TEXTS))).to_pandas()
+        sql = self._sql(ts.HLL_DISTINCT_SQL)
+        regs, exact = TestHllDistinct()._brute_regs(self.TEXTS)
+        assert exact == 4  # alpha beta gamma delta
+        for out in (py, sql):
+            assert out.loc[0, "n_buckets_set"] == len(regs)
+            assert out.loc[0, "estimate_distinct"] == ts._hll_estimate(regs)
+
+    def test_source_hll_twins_agree(self, ray_session):
+        from nmalign_ray.functions import textstats as ts
+
+        py = ts.source_hll(ray_session.data.from_arrow(
+            TestSourceHll()._tbl(self.TEXTS, self.SOURCES))).to_pandas()
+        sql = self._sql(ts.SOURCE_HLL_SQL)
+        for src in ("a", "b"):
+            docs = [t for t, s in zip(self.TEXTS, self.SOURCES) if s == src]
+            regs, _ = TestHllDistinct()._brute_regs(docs)
+            for out in (py, sql):
+                row = out[out["source"] == src].iloc[0]
+                assert row["n_buckets_set"] == len(regs)
+                assert row["estimate_distinct"] == ts._hll_estimate(regs)
