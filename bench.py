@@ -168,10 +168,12 @@ def run_bench() -> dict:
         # batch-wide similarity kernel (levenshtein_cdist_many across 16-doc
         # batches — what each Ray task/actor actually runs).  The gap over
         # the per-doc anchor is the round-5 kernel-batching win.
+        from nmalign_ray.pipelines.checkpoint import _add_pid
         from nmalign_ray.stages import extract_and_salt
         from nmalign_ray.stages.aligner import AlignChunks
 
-        chunk_tbl = extract_and_salt(sample, salt_threshold=cfg.salt_threshold)
+        chunk_tbl = extract_and_salt(_add_pid(sample, cfg.num_partitions),
+                                     salt_threshold=cfg.salt_threshold)
         aligner = AlignChunks(cfg.align)
         t0 = time.perf_counter()
         for lo in range(0, chunk_tbl.num_rows, 16):

@@ -11,8 +11,8 @@
       "allow_splits": true,
       "salt_threshold": 256,
       "num_partitions": 32,                # omit = auto max(32, cluster CPUs)
-      "align_mode": "tasks",               # omit = auto; "actors" for heavy
-                                          #  per-worker state (aligner.py)
+      "align_mode": "tasks",               # omit = "actors" (fixed pool);
+                                          #  "tasks" for short runs (aligner.py)
       "align_concurrency": null,           # actors-mode pool size (selects
                                           #  actors when set; clamped to
                                           #  cluster cpus - 1)

@@ -1,4 +1,18 @@
-"""Checkpointed partitioned sink with per-partition lineage + resume.
+"""The extraction plan, its checkpointed partitioned sink, and resume.
+
+One plan serves both public entry points::
+
+    read corpus                                  [doc_id, spans, ref_spans]
+      -> map_batches(_add_pid)                   pid = crc32(doc_id) % P, once
+      -> map_batches(_filter_completed)          resume: drop finished pids
+      -> map_batches(extract_and_salt)           parse cascade + skew salting
+      -> map_batches(AlignChunks)                forced alignment per chunk
+         (actor pool by default; align_mode="tasks" for short pipelines)
+      -> groupby("pid").map_groups(...)          Ray's sort-based groupby
+
+* :func:`build_extract_pipeline` ends in ``map_groups(reassemble_group)``
+  and returns the lazy ``OUTPUT_SCHEMA`` Dataset;
+* :func:`run_checkpointed` ends in ``map_groups(_write_partition)``.
 
 North-rule requirement: "resumable from checkpoint with per-partition
 lineage + metrics".  This generalizes the reference's page-granular
@@ -7,19 +21,21 @@ idempotency (skip pages whose output file already exists,
 
 * every document belongs to a deterministic partition
   ``pid = crc32(doc_id) % P`` (stable across runs and machines — NOT
-  Python's salted ``hash``);
-* the reassembly shuffle is keyed on ``pid`` (one hash shuffle total:
-  it co-locates all chunks of a document AND all documents of a
-  partition), and the per-group task reassembles its documents, writes
-  ``out_dir/part=<pid>/data.parquet`` ATOMICALLY (tmp + rename) and a
-  lineage record ``out_dir/_manifest/part-<pid>.json`` with row counts
-  and metrics;
+  Python's salted ``hash``), computed once right after the read and
+  carried through the chunk and aligned rows;
+* the one shuffle is keyed on ``pid``: it co-locates all chunks of a
+  document AND all documents of a partition, and the per-group task
+  reassembles its documents, writes ``out_dir/part=<pid>/data.parquet``
+  ATOMICALLY (tmp + rename) and a lineage record
+  ``out_dir/_manifest/part-<pid>.json`` with row counts and metrics;
 * on resume, completed partitions are read from the manifest and their
   documents are filtered out right after the read — the heavy stages
   never see them.
 
 A partition directory without its manifest entry is a torn write from a
 killed run; it is overwritten on resume.
+
+Never calls ``ray.init`` — the session is owned by the caller.
 """
 
 from __future__ import annotations
@@ -34,10 +50,10 @@ import pyarrow.compute  # noqa: F401  (pa.compute used below; not auto-imported)
 import pyarrow.parquet as pq
 import ray.data
 
-from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard
+from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard, crc32_shards
 from ..stages import extract_and_salt
-from .extract import apply_align_stage
 from ..stages.reassemble import reassemble_group
+from .extract import apply_align_stage
 
 
 def doc_partition(doc_id: str, num_partitions: int) -> int:
@@ -95,35 +111,21 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
-def _filter_completed(batch: pa.Table, done: frozenset, num_partitions: int) -> pa.Table:
+def _add_pid(batch: pa.Table, num_partitions: int) -> pa.Table:
+    return batch.append_column("pid", crc32_shards(batch["doc_id"], num_partitions))
+
+
+def _filter_completed(batch: pa.Table, done: frozenset) -> pa.Table:
     if not done:
         return batch
-    keep = [
-        doc_partition(d, num_partitions) not in done
-        for d in batch["doc_id"].to_pylist()
-    ]
-    return batch.filter(pa.array(keep, type=pa.bool_()))
-
-
-def _add_pid(batch: pa.Table, num_partitions: int) -> pa.Table:
-    pids = pa.array(
-        [doc_partition(d, num_partitions) for d in batch["doc_id"].to_pylist()],
-        type=pa.int32(),
-    )
-    return batch.append_column("pid", pids)
+    finished = pa.compute.is_in(batch["pid"], value_set=pa.array(sorted(done), pa.int32()))
+    return batch.filter(pa.compute.invert(finished))
 
 
 def _write_partition(group: pa.Table, out_dir: str) -> pa.Table:
     """Reassemble every document of one partition and write it atomically."""
     pid = int(group["pid"][0].as_py())
-    # per-document reassembly within the partition group
-    by_doc: dict[str, list[int]] = {}
-    for k, did in enumerate(group["doc_id"].to_pylist()):
-        by_doc.setdefault(did, []).append(k)
-    docs = [
-        reassemble_group(group.take(idxs)) for _, idxs in sorted(by_doc.items())
-    ]
-    table = pa.concat_tables(docs) if docs else OUTPUT_SCHEMA.empty_table()
+    table = reassemble_group(group)
 
     part_dir = os.path.join(out_dir, f"part={pid}")
     tmp_dir = os.path.join(out_dir, "_tmp", f"part={pid}")
@@ -166,6 +168,35 @@ def _write_partition(group: pa.Table, out_dir: str) -> pa.Table:
     )
 
 
+def _plan(corpus: ray.data.Dataset, cfg: EngineConfig, num_partitions: int,
+          done: frozenset = frozenset()):
+    """The extraction plan up to its one shuffle (module docstring),
+    grouped by ``pid``; the caller picks the per-partition function."""
+    stateless = {"batch_format": "pyarrow", "batch_size": cfg.extract_batch_size}
+    chunks = (
+        corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
+        .map_batches(partial(_filter_completed, done=done), **stateless)
+        .map_batches(partial(extract_and_salt, salt_threshold=cfg.salt_threshold),
+                     **stateless)
+    )
+    # no repartition before the groupby: the extra all-to-all measured as
+    # pure overhead (16.2/18.8 s with vs 15.3/17.4 s without at 30k docs),
+    # and the groupby's own num_partitions bounds the shuffle width
+    return apply_align_stage(chunks, cfg).groupby("pid", num_partitions=num_partitions)
+
+
+def build_extract_pipeline(
+    ds: ray.data.Dataset, config: EngineConfig | None = None
+) -> ray.data.Dataset:
+    """Compose the extraction pipeline over a corpus Dataset
+    (``doc_id, spans, ref_spans``); returns the lazy ``OUTPUT_SCHEMA``
+    Dataset, one row per document.  Consume it with ``write_parquet`` /
+    ``iter_batches`` / an aggregate, not ``take_all``."""
+    cfg = config if config is not None else EngineConfig()
+    return _plan(ds, cfg, cfg.resolved_partitions()).map_groups(
+        reassemble_group, batch_format="pyarrow")
+
+
 def run_checkpointed(
     corpus: ray.data.Dataset,
     out_dir: str,
@@ -180,29 +211,8 @@ def run_checkpointed(
     cfg = config if config is not None else EngineConfig()
     num_partitions = resolve_num_partitions(out_dir, cfg)
     done = frozenset(completed_partitions(out_dir))
-
-    ds = corpus.map_batches(
-        partial(_filter_completed, done=done, num_partitions=num_partitions),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
-    chunks = ds.map_batches(
-        partial(extract_and_salt, salt_threshold=cfg.salt_threshold),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
-    aligned = apply_align_stage(chunks, cfg).map_batches(
-        partial(_add_pid, num_partitions=num_partitions),
-        batch_format="pyarrow",
-    )
-    # NOTE: no repartition before the groupby — the round-2 coalesce
-    # (43 s -> 26 s) predates the in-stream bench replicator; with sane
-    # upstream block counts the extra all-to-all is pure overhead
-    # (A/B measured 16.2/18.8 s with vs 15.3/17.4 s without at 30k docs)
-    # and the groupby's own num_partitions bounds the shuffle width.
-    result_ds = aligned.groupby("pid", num_partitions=num_partitions).map_groups(
-        partial(_write_partition, out_dir=out_dir), batch_format="pyarrow"
-    )
+    result_ds = _plan(corpus, cfg, num_partitions, done).map_groups(
+        partial(_write_partition, out_dir=out_dir), batch_format="pyarrow")
     summary = result_ds.to_pandas()
     out = {
         "partitions_written": int(summary.shape[0]),

@@ -1,17 +1,13 @@
-"""The flagship extraction pipeline (SURVEY §3.4).
+"""Building blocks of the extraction plan.
 
-    read corpus (parquet)                        [doc_id, spans, ref_spans]
-      -> map_batches(extract_and_salt)           stateless: parse cascade + skew salting
-      -> map_batches(AlignChunks, concurrency=N) forced alignment per chunk
-         (actor pool by default — wins long corpus-scale runs; task form
-          via align_mode="tasks" for short back-to-back pipelines)
-      -> groupby(doc_id).map_groups(reassemble)  shuffle: offset-merge + metrics
-      -> OUTPUT_SCHEMA rows
+* :func:`apply_align_stage` — the alignment stage in its configured
+  physical form (actor pool or tasks);
+* :func:`join_refs` — the two-table form's pair join on ``doc_id``;
+* :func:`read_corpus`.
 
-Never calls ``ray.init`` — the session is owned by the caller (driver,
-``bench.py``, test fixture).  The pipeline is lazy end to end; consume it
-with ``write_parquet`` / ``iter_batches`` / an aggregate, not
-``take_all``.
+The plan itself — read, ``pid``, extract + salt, align, and the one
+``groupby("pid")`` shuffle into reassembly or the checkpointed sink — is
+built in ``pipelines/checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from functools import partial
 import ray.data
 
 from ..schema import EngineConfig, cluster_cpus
-from ..stages import AlignChunks, extract_and_salt, reassemble_group
+from ..stages import AlignChunks
 
 
 def resolve_concurrency(cfg: EngineConfig):
@@ -92,101 +88,6 @@ def apply_align_stage(chunks: ray.data.Dataset,
     )
 
 
-def build_extract_pipeline(
-    ds: ray.data.Dataset,
-    config: EngineConfig | None = None,
-    reassemble: str = "shuffle",
-) -> ray.data.Dataset:
-    """Compose the extraction pipeline over a corpus Dataset
-    (``doc_id, spans, ref_spans``); returns the lazy output Dataset.
-
-    ``reassemble``:
-
-    * ``"shuffle"`` (default) — ``groupby(doc_id).map_groups``, the
-      north-star exchange: correct unconditionally, including any future
-      producer that scatters a document's chunks across blocks.
-    * ``"local"`` — zero-shuffle fast path exploiting a producer
-      invariant of THIS pipeline: all chunk rows + media of a document
-      are emitted contiguously and stay within one aligned output
-      block, so per-block grouping reassembles exactly.  PRECISE
-      CONDITION: Ray finalizes a map task's output block whenever its
-      CUMULATIVE output crosses ``DataContext.target_max_block_size``
-      (128 MiB default), and the cut lands on a batch boundary — so a
-      document is split only when a task emits >128 MiB AND an
-      ``align_batch_size`` boundary falls inside that document.  Keep
-      per-task output under the block size (the default batch sizing
-      does, for ordinary text corpora) or use the shuffle mode, which
-      is correct unconditionally.  Equality with shuffle mode is pinned
-      by tests on every fixture family incl. salted skew.
-    """
-    cfg = config if config is not None else EngineConfig()
-    chunks = ds.map_batches(
-        partial(extract_and_salt, salt_threshold=cfg.salt_threshold),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
-    aligned = apply_align_stage(chunks, cfg)
-    if reassemble == "local":
-        return aligned.map_batches(
-            reassemble_block, batch_format="pyarrow", batch_size=None
-        )
-    # coalesce the aligner's many small output blocks before the shuffle,
-    # and bound the shuffle width: the sort-based groupby's scheduling
-    # overhead scales with block count, not bytes (measured 43s -> 26s at
-    # 30k docs from the coalesce alone)
-    num_partitions = cfg.resolved_partitions()
-    aligned = aligned.repartition(num_partitions)
-
-    # shuffle on a coarse shard of doc_id (the checkpoint sink's pid
-    # keying) and reassemble each document INSIDE the shard task — a
-    # per-doc_id groupby pays per-group dispatch at corpus cardinality
-    # (measured: 80k groups = 5.7 s of a 6 s stage)
-    from ..schema import crc32_shard
-
-    def add_shard(batch: ray.data.Dataset) -> "pa.Table":
-        import pyarrow as pa
-
-        return batch.append_column(
-            "shard",
-            pa.array([crc32_shard(d, num_partitions)
-                      for d in batch["doc_id"].to_pylist()], pa.int32()))
-
-    def reassemble_shard(group) -> "pa.Table":
-        import pyarrow as pa
-
-        from ..schema import OUTPUT_SCHEMA
-
-        by_doc: dict[str, list[int]] = {}
-        for k, did in enumerate(group["doc_id"].to_pylist()):
-            by_doc.setdefault(did, []).append(k)
-        # cast each doc to the canonical schema: reassemble_group may
-        # pass a parquet-read spans column through (list field named
-        # "element") or build one ("item"), and concat rejects the mix
-        docs = [reassemble_group(group.take(idxs)).cast(OUTPUT_SCHEMA)
-                for _, idxs in sorted(by_doc.items())]
-        return pa.concat_tables(docs) if docs else OUTPUT_SCHEMA.empty_table()
-
-    return aligned.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=num_partitions
-    ).map_groups(reassemble_shard, batch_format="pyarrow")
-
-
-def reassemble_block(batch):
-    """Per-block reassembly for the ``local`` mode: group the block's rows
-    by doc_id and merge each document (same merge as the shuffle path)."""
-    import pyarrow as pa
-
-    from ..schema import OUTPUT_SCHEMA
-
-    by_doc: dict[str, list[int]] = {}
-    for k, did in enumerate(batch["doc_id"].to_pylist()):
-        by_doc.setdefault(did, []).append(k)
-    tables = [
-        reassemble_group(batch.take(idxs)) for _, idxs in sorted(by_doc.items())
-    ]
-    return pa.concat_tables(tables) if tables else OUTPUT_SCHEMA.empty_table()
-
-
 def read_corpus(path: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=columns)
 
@@ -242,7 +143,7 @@ def join_refs(
     import numpy as np
     import pyarrow as pa
 
-    from ..schema import CORPUS_SCHEMA, crc32_shard
+    from ..schema import CORPUS_SCHEMA, crc32_shards
 
     if missing not in ("skip", "abort"):
         raise ValueError(f"missing must be 'skip' or 'abort', got {missing!r}")
@@ -250,17 +151,8 @@ def join_refs(
         raise ValueError(
             f"on_duplicate must be 'raise' or 'last', got {on_duplicate!r}")
 
-    import ray as _ray
-
     cpus = cluster_cpus()
     nshards = max(32, cpus * 4)
-
-    def _shard_col(doc_ids: pa.ChunkedArray) -> pa.Array:
-        # schema.crc32_shard: THE shared process-stable doc→shard key
-        return pa.array(
-            [crc32_shard(d, nshards) for d in doc_ids.to_pylist()],
-            type=pa.int32(),
-        )
 
     # ONE explicit tagged schema for both sides: list<struct> field names
     # differ between a parquet-read column ("element") and pa.nulls
@@ -276,7 +168,7 @@ def join_refs(
                 "doc_id": batch["doc_id"],
                 "spans": batch["spans"].cast(CORPUS_SCHEMA.field("spans").type),
                 "ref_spans": pa.nulls(n, CORPUS_SCHEMA.field("ref_spans").type),
-                "shard": _shard_col(batch["doc_id"]),
+                "shard": crc32_shards(batch["doc_id"], nshards),
             },
             schema=tagged_schema,
         )
@@ -289,7 +181,7 @@ def join_refs(
                 "spans": pa.nulls(n, CORPUS_SCHEMA.field("spans").type),
                 "ref_spans": batch["ref_spans"].cast(
                     CORPUS_SCHEMA.field("ref_spans").type),
-                "shard": _shard_col(batch["doc_id"]),
+                "shard": crc32_shards(batch["doc_id"], nshards),
             },
             schema=tagged_schema,
         )

@@ -16,6 +16,7 @@ string lists / PAGE-XML DOM (SURVEY §1.2; reference data model at
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -79,9 +80,15 @@ def crc32_shard(doc_id: str, num_shards: int) -> int:
     crc32, not python ``hash()``: stable across worker processes
     (PYTHONHASHSEED), runs and machines — checkpoint resume depends on it
     never changing."""
-    import zlib
-
     return zlib.crc32(str(doc_id).encode("utf-8")) % num_shards
+
+
+def crc32_shards(doc_ids, num_shards: int) -> pa.Int32Array:
+    """:func:`crc32_shard` over an Arrow column of doc_ids, as one int32
+    array (same bits, one call per batch)."""
+    return pa.array([crc32_shard(d, num_shards) for d in doc_ids.to_pylist()],
+                    type=pa.int32())
+
 
 # The reference test-suite's historical-orthography normalization map
 # (shape of /root/reference/tests/test_all.py:16-26), the engine default.

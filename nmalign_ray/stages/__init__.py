@@ -6,7 +6,10 @@ Stage layout (SURVEY §3.4 / §7.2):
 |----------------|------------------------------|-----------------|
 | extract + salt | stateless ``map_batches``    | document -> chunk rows |
 | align          | actor pool ``map_batches``   | chunk           |
-| reassemble     | ``groupby(doc_id).map_groups`` shuffle | document |
+| reassemble     | ``groupby("pid").map_groups`` (sort-based shuffle) | partition -> document rows |
+
+``pid = crc32(doc_id) % P`` is computed once at the read
+(``pipelines/checkpoint.py``) and rides through every stage's rows.
 
 All stages are Arrow-in / Arrow-out (``batch_format="pyarrow"``).
 """

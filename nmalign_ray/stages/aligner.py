@@ -40,6 +40,7 @@ from ..schema import SPAN_TYPE
 ALIGNED_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
+        ("pid", pa.int32()),
         ("salt", pa.int32()),
         ("out_spans", pa.list_(SPAN_TYPE)),
         ("media", pa.list_(SPAN_TYPE)),
@@ -60,6 +61,7 @@ class AlignChunks:
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = {name: [] for name in ALIGNED_SCHEMA.names}
         doc_ids = batch["doc_id"].to_pylist()
+        pids = batch["pid"].to_pylist()
         salts = batch["salt"].to_pylist()
         cand_kinds = batch["cand_kind"].to_pylist()
         cand_texts = batch["cand_text"].to_pylist()
@@ -92,6 +94,7 @@ class AlignChunks:
                 sim=sims[job_of_row[k]] if job_of_row[k] >= 0 else None,
             )
             rows["doc_id"].append(doc_ids[k])
+            rows["pid"].append(pids[k])
             rows["salt"].append(salts[k])
             rows["out_spans"].append(out)
             rows["media"].append(media[k] or [])

@@ -26,6 +26,9 @@ from ..schema import MEDIA_KINDS, SPAN_TYPE
 CHUNK_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
+        # the document's partition, computed once at the read
+        # (pipelines/checkpoint.py::_add_pid) and carried to the sink
+        ("pid", pa.int32()),
         ("salt", pa.int32()),
         ("cand_kind", pa.list_(pa.string())),
         ("cand_text", pa.list_(pa.string())),
@@ -38,12 +41,17 @@ CHUNK_SCHEMA = pa.schema(
 
 
 def extract_and_salt(batch: pa.Table, salt_threshold: int = 256) -> pa.Table:
+    if "pid" not in batch.column_names:
+        raise ValueError(
+            "extract_and_salt needs the partition column 'pid' "
+            "(pipelines.checkpoint._add_pid adds it at the read)")
     doc_ids = batch["doc_id"].to_pylist()
+    pids = batch["pid"].to_pylist()
     spans_col = batch["spans"].to_pylist()
     refs_col = batch["ref_spans"].to_pylist()
 
     rows = {name: [] for name in CHUNK_SCHEMA.names}
-    for did, spans, ref_spans in zip(doc_ids, spans_col, refs_col):
+    for did, pid, spans, ref_spans in zip(doc_ids, pids, spans_col, refs_col):
         spans = spans or []
         ref_spans = ref_spans or []
         candidates, media = classify_spans(
@@ -65,6 +73,7 @@ def extract_and_salt(batch: pa.Table, salt_threshold: int = 256) -> pa.Table:
             salt_chunks(len(candidates), len(refs), salt_threshold)
         ):
             rows["doc_id"].append(did)
+            rows["pid"].append(pid)
             rows["salt"].append(salt)
             rows["cand_kind"].append([c.kind for c in candidates[c_lo:c_hi]])
             rows["cand_text"].append([c.text for c in candidates[c_lo:c_hi]])

@@ -153,6 +153,7 @@ def _long_segment_document(seed: int):
 def test_aligner_batch_equals_chunk_by_chunk_and_oracle():
     from nmalign_ray.corpus import make_skewed_document
     from nmalign_ray.document import oracle_table
+    from nmalign_ray.pipelines.checkpoint import _add_pid
     from nmalign_ray.schema import CORPUS_SCHEMA, EngineConfig
     from nmalign_ray.stages.aligner import AlignChunks
     from nmalign_ray.stages.extract_stage import extract_and_salt
@@ -164,7 +165,7 @@ def test_aligner_batch_equals_chunk_by_chunk_and_oracle():
     corpus = pa.Table.from_pydict(
         {"doc_id": [d[0] for d in docs], "spans": [d[1] for d in docs],
          "ref_spans": [d[2] for d in docs]}, schema=CORPUS_SCHEMA)
-    chunks = extract_and_salt(corpus, salt_threshold=salt_threshold)
+    chunks = extract_and_salt(_add_pid(corpus, 32), salt_threshold=salt_threshold)
     assert chunks.num_rows == 7  # 3 + 1 + 3 chunks in one batch
     assert max(len(t) for c in chunks["cand_text"].to_pylist()
                for t in c) > 1100

@@ -120,22 +120,80 @@ class TestTwoTableJoin:
         assert out.count() == 10
 
 
-class TestLocalReassembly:
-    def test_local_equals_shuffle_and_oracle(self, ray_session, corpus, config, golden):
-        ds = ray_session.data.from_arrow(corpus)
-        out = build_extract_pipeline(ds, config, reassemble="local")
-        tbl = pa.concat_tables(
-            [t for t in map(ray_session.get, out.to_arrow_refs())
-             if t.num_rows])
-        assert spans_key(tbl) == spans_key(golden)
+class TestOnePlan:
+    def test_sink_and_both_align_forms_equal_oracle(
+        self, ray_session, corpus, golden, tmp_path
+    ):
+        # the checkpointed sink, the lazy pipeline in both aligner forms
+        # and the serial oracle agree exactly (spans, metrics, bits),
+        # salted and media-bearing documents included
+        import re
 
-    def test_local_metrics_match_oracle(self, ray_session, corpus, config, golden):
+        from nmalign_ray.pipelines.checkpoint import read_output, run_checkpointed
+
         ds = ray_session.data.from_arrow(corpus)
-        out = build_extract_pipeline(ds, config, reassemble="local").to_pandas()
+        out_dir = str(tmp_path / "out")
+        job = run_checkpointed(ds, out_dir, EngineConfig(salt_threshold=64),
+                               collect_stats=True)
+
+        def collect(cfg):
+            out = build_extract_pipeline(ds, cfg)
+            return pa.concat_tables(
+                [t for t in map(ray_session.get, out.to_arrow_refs())
+                 if t.num_rows])
+
+        outputs = [
+            read_output(out_dir),
+            collect(EngineConfig(salt_threshold=64)),
+            collect(EngineConfig(salt_threshold=64, align_mode="tasks")),
+        ]
+        want = golden.sort_by("doc_id")
+        for got in outputs:
+            assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+
+        # pid is computed at the read, so nothing runs after the aligner
+        # but the shuffle (no separate post-align operator)
+        ops = re.findall(r"^Operator \d+ (.+?): ", job["stats"], re.MULTILINE)
+        align = next(k for k, op in enumerate(ops) if "AlignChunks" in op)
+        assert "_add_pid" in ops[align] and ops[align + 1].startswith("Sort"), ops
+
+
+class TestLocalReassembly:
+    # the family queries' form (align_mode="tasks") once reassembled
+    # block-locally; it now goes through the same pid groupby as the
+    # actor form, and both must still equal the oracle
+    @pytest.fixture(scope="class")
+    def tasks_cfg(self):
+        return EngineConfig(salt_threshold=64, align_batch_size=8,
+                            align_mode="tasks")
+
+    def test_local_equals_shuffle_and_oracle(
+        self, ray_session, corpus, config, golden, tasks_cfg
+    ):
+        ds = ray_session.data.from_arrow(corpus)
+
+        def collect(cfg):
+            out = build_extract_pipeline(ds, cfg)
+            return pa.concat_tables(
+                [t for t in map(ray_session.get, out.to_arrow_refs())
+                 if t.num_rows])
+
+        got = spans_key(collect(tasks_cfg))
+        assert got == spans_key(collect(config))
+        assert got == spans_key(golden)
+
+    def test_local_metrics_match_oracle(
+        self, ray_session, corpus, golden, tasks_cfg
+    ):
+        ds = ray_session.data.from_arrow(corpus)
+        out = build_extract_pipeline(ds, tasks_cfg).to_pandas()
         want = golden.to_pandas()
         merged = out.merge(want, on="doc_id", suffixes=("", "_w"))
+        assert len(merged) == len(want) == len(out)
         assert (merged.matched == merged.matched_w).all()
         assert (merged.total == merged.total_w).all()
+        assert (merged.unmatched_ref_count == merged.unmatched_ref_count_w).all()
+        assert (merged.mean_score == merged.mean_score_w).all()
 
 
 class TestJoinEdges:

@@ -5,7 +5,7 @@ scores live in [0, 1]; determinism; splits produce well-formed slices.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nmalign_ray.align import match
 
@@ -184,6 +184,20 @@ def test_hash_sample_is_deterministic_and_partition_invariant(ids):
     a = [d for d in ids if keep(d)]
     b = [d for d in reversed(ids) if keep(d)]
     assert sorted(a) == sorted(b)  # membership is row-order independent
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.one_of(st.text(), st.integers().map(str)), max_size=20),
+       n=st.integers(1, 64))
+@example(ids=["", "ſäö", "文書-7", "007", "1e3", "-0", "\x00"], n=7)
+def test_crc32_shards_equal_scalar_form(ids, n):
+    import pyarrow as pa
+
+    from nmalign_ray.schema import crc32_shard, crc32_shards
+
+    got = crc32_shards(pa.chunked_array([pa.array(ids, pa.string())]), n)
+    assert got.type == pa.int32()
+    assert got.to_pylist() == [crc32_shard(d, n) for d in ids]
 
 
 # ---------------------------------------------------------------------------
