@@ -11,11 +11,6 @@
       "allow_splits": true,
       "salt_threshold": 256,
       "num_partitions": 32,                # omit = auto max(32, cluster CPUs)
-      "align_mode": "tasks",               # omit = "actors" (fixed pool);
-                                          #  "tasks" for short runs (aligner.py)
-      "align_concurrency": null,           # actors-mode pool size (selects
-                                          #  actors when set; clamped to
-                                          #  cluster cpus - 1)
       "refs": "/data/refs",               # two-table form: join on doc_id
       "missing_input": "skip",            # or "abort" (reference
                                           #  OCRD_MISSING_INPUT semantics)
@@ -23,8 +18,11 @@
                                           #  NonUniqueInputFile)
     }
 
+Any other key is an error (``config_from_json`` raises ``ValueError``
+naming it), so a misspelled or retired setting never goes unnoticed.
+
 The SAME entrypoint runs unchanged at any cluster size (the north rule's
-N vs 4N criterion): stage concurrency auto-sizes from the session, data
+N vs 4N criterion): the per-partition tasks spread over the session's CPUs, data
 parallelism from the input fragments, and the checkpointed sink makes
 reruns resume from completed partitions.
 
@@ -41,8 +39,18 @@ import sys
 from ..align.core import AlignConfig
 from ..schema import DEFAULT_NORMALIZATION, EngineConfig
 
+JOB_KEYS = frozenset({
+    "normalization", "cutoff", "allow_splits", "salt_threshold",
+    "num_partitions", "refs", "missing_input", "on_duplicate",
+})
+
 
 def config_from_json(doc: dict) -> EngineConfig:
+    unknown = sorted(set(doc) - JOB_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown job config key(s) {unknown}; known keys are "
+            f"{sorted(JOB_KEYS)}")
     align = AlignConfig(
         normalization=doc.get("normalization", DEFAULT_NORMALIZATION),
         cutoff=doc.get("cutoff"),
@@ -52,8 +60,6 @@ def config_from_json(doc: dict) -> EngineConfig:
         align=align,
         salt_threshold=doc.get("salt_threshold", 256),
         num_partitions=doc.get("num_partitions"),
-        align_mode=doc.get("align_mode"),
-        align_concurrency=doc.get("align_concurrency"),
     )
 
 

@@ -1,18 +1,33 @@
 """The extraction plan, its checkpointed partitioned sink, and resume.
 
-One plan serves both public entry points::
+One plan serves both public entry points.  The exchange comes FIRST, on
+the input rows; everything after it runs inside one task per partition::
 
     read corpus                                  [doc_id, spans, ref_spans]
       -> map_batches(_add_pid)                   pid = crc32(doc_id) % P, once
       -> map_batches(_filter_completed)          resume: drop finished pids
-      -> map_batches(extract_and_salt)           parse cascade + skew salting
-      -> map_batches(AlignChunks)                forced alignment per chunk
-         (actor pool by default; align_mode="tasks" for short pipelines)
-      -> groupby("pid").map_groups(...)          Ray's sort-based groupby
+      -> groupby("pid")                          Ray's sort-based exchange
+      -> map_groups(per-partition function), per slice of
+         ``extract_batch_size`` documents in doc_id order:
+           extract_and_salt                      parse cascade + skew salting
+           -> AlignChunks(cfg.align)             forced alignment per chunk
+           -> reassemble_group                   chunks -> document rows
 
-* :func:`build_extract_pipeline` ends in ``map_groups(reassemble_group)``
+* :func:`build_extract_pipeline` ends in ``map_groups(_extract_partition)``
   and returns the lazy ``OUTPUT_SCHEMA`` Dataset;
-* :func:`run_checkpointed` ends in ``map_groups(_write_partition)``.
+* :func:`run_checkpointed` ends in ``map_groups(_write_partition)``, which
+  streams each slice into the partition's parquet file.
+
+The exchange moves the input rows rather than the aligned chunks, so
+a partition is committed as soon as its own task finishes, not after every
+document of the round has been aligned.  The heavy work runs in plain Ray
+tasks, which reuse the session's workers from round to round (no per-round
+actor pool to start).  Measured on 4 vCPU (``perfbench/run.py --seconds 14
+--trace 0``, medians of ten seeds against the actor-pool plan):
+``mix`` 329 -> 910 docs/s and 13.4 -> 5.5 s CPU a round; ``giant``
+1.57 -> 4.07 docs/s.  Salting bounds the size of each alignment call; it
+does not spread one giant document across CPUs (its chunks stay in its
+partition's task).
 
 North-rule requirement: "resumable from checkpoint with per-partition
 lineage + metrics".  This generalizes the reference's page-granular
@@ -21,13 +36,12 @@ idempotency (skip pages whose output file already exists,
 
 * every document belongs to a deterministic partition
   ``pid = crc32(doc_id) % P`` (stable across runs and machines — NOT
-  Python's salted ``hash``), computed once right after the read and
-  carried through the chunk and aligned rows;
-* the one shuffle is keyed on ``pid``: it co-locates all chunks of a
-  document AND all documents of a partition, and the per-group task
-  reassembles its documents, writes ``out_dir/part=<pid>/data.parquet``
-  ATOMICALLY (tmp + rename) and a lineage record
-  ``out_dir/_manifest/part-<pid>.json`` with row counts and metrics;
+  Python's salted ``hash``), computed once right after the read;
+* the one shuffle is keyed on ``pid``: it co-locates all documents of a
+  partition, and the per-group task extracts, aligns and reassembles
+  them, writes ``out_dir/part=<pid>/data.parquet`` ATOMICALLY (tmp +
+  rename) and a lineage record ``out_dir/_manifest/part-<pid>.json``
+  with row counts and metrics;
 * on resume, completed partitions are read from the manifest and their
   documents are filtered out right after the read — the heavy stages
   never see them.
@@ -46,14 +60,14 @@ import shutil
 from functools import partial
 
 import pyarrow as pa
-import pyarrow.compute  # noqa: F401  (pa.compute used below; not auto-imported)
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
 from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard, crc32_shards
-from ..stages import extract_and_salt
+from ..stages import extract_stage
+from ..stages.aligner import AlignChunks
 from ..stages.reassemble import reassemble_group
-from .extract import apply_align_stage
 
 
 def doc_partition(doc_id: str, num_partitions: int) -> int:
@@ -118,35 +132,52 @@ def _add_pid(batch: pa.Table, num_partitions: int) -> pa.Table:
 def _filter_completed(batch: pa.Table, done: frozenset) -> pa.Table:
     if not done:
         return batch
-    finished = pa.compute.is_in(batch["pid"], value_set=pa.array(sorted(done), pa.int32()))
-    return batch.filter(pa.compute.invert(finished))
+    finished = pc.is_in(batch["pid"], value_set=pa.array(sorted(done), pa.int32()))
+    return batch.filter(pc.invert(finished))
 
 
-def _write_partition(group: pa.Table, out_dir: str) -> pa.Table:
-    """Reassemble every document of one partition and write it atomically."""
+def _partition_slices(group: pa.Table, cfg: EngineConfig):
+    """Extract, align and reassemble one partition's documents, yielding
+    one ``OUTPUT_SCHEMA`` table per slice of ``cfg.extract_batch_size``
+    documents, in ``doc_id`` order.
+
+    A slice bounds the rows each layer holds at once; every chunk of a
+    document stays in its document's slice.  ``extract_and_salt`` is
+    looked up on its module at call time, so a wrapper installed there
+    (``perfbench/tracer.py``) sees every call."""
+    group = group.take(pc.sort_indices(group, sort_keys=[("doc_id", "ascending")]))
+    aligner = AlignChunks(cfg.align)
+    for lo in range(0, group.num_rows, cfg.extract_batch_size):
+        chunks = extract_stage.extract_and_salt(
+            group.slice(lo, cfg.extract_batch_size), salt_threshold=cfg.salt_threshold)
+        yield reassemble_group(aligner(chunks))
+
+
+def _extract_partition(group: pa.Table, cfg: EngineConfig) -> pa.Table:
+    """One partition's documents -> their ``OUTPUT_SCHEMA`` rows."""
+    return pa.concat_tables(list(_partition_slices(group, cfg)))
+
+
+def _write_partition(group: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Table:
+    """Process one partition slice by slice into one parquet file, then
+    commit it atomically: data first (tmp + rename), then its manifest."""
     pid = int(group["pid"][0].as_py())
-    table = reassemble_group(group)
-
     part_dir = os.path.join(out_dir, f"part={pid}")
     tmp_dir = os.path.join(out_dir, "_tmp", f"part={pid}")
     os.makedirs(os.path.dirname(tmp_dir), exist_ok=True)
     shutil.rmtree(tmp_dir, ignore_errors=True)
     os.makedirs(tmp_dir)
-    pq.write_table(table, os.path.join(tmp_dir, "data.parquet"))
+    manifest = {"pid": pid, "num_docs": 0, "matched": 0, "total": 0,
+                "unmatched_ref_count": 0}
+    with pq.ParquetWriter(os.path.join(tmp_dir, "data.parquet"), OUTPUT_SCHEMA) as writer:
+        for table in _partition_slices(group, cfg):
+            writer.write_table(table)
+            manifest["num_docs"] += table.num_rows
+            for name in ("matched", "total", "unmatched_ref_count"):
+                manifest[name] += int(pc.sum(table[name]).as_py() or 0)
     shutil.rmtree(part_dir, ignore_errors=True)
     os.replace(tmp_dir, part_dir)
 
-    matched = int(pa.compute.sum(table["matched"]).as_py() or 0)
-    total = int(pa.compute.sum(table["total"]).as_py() or 0)
-    manifest = {
-        "pid": pid,
-        "num_docs": table.num_rows,
-        "matched": matched,
-        "total": total,
-        "unmatched_ref_count": int(
-            pa.compute.sum(table["unmatched_ref_count"]).as_py() or 0
-        ),
-    }
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
     mtmp = os.path.join(mdir, f".part-{pid}.json.tmp")
@@ -156,33 +187,20 @@ def _write_partition(group: pa.Table, out_dir: str) -> pa.Table:
 
     return pa.Table.from_pydict(
         {k: [v] for k, v in manifest.items()},
-        schema=pa.schema(
-            [
-                ("pid", pa.int64()),
-                ("num_docs", pa.int64()),
-                ("matched", pa.int64()),
-                ("total", pa.int64()),
-                ("unmatched_ref_count", pa.int64()),
-            ]
-        ),
+        schema=pa.schema([(k, pa.int64()) for k in manifest]),
     )
 
 
 def _plan(corpus: ray.data.Dataset, cfg: EngineConfig, num_partitions: int,
           done: frozenset = frozenset()):
-    """The extraction plan up to its one shuffle (module docstring),
+    """The extraction plan up to its one exchange (module docstring),
     grouped by ``pid``; the caller picks the per-partition function."""
     stateless = {"batch_format": "pyarrow", "batch_size": cfg.extract_batch_size}
-    chunks = (
+    return (
         corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
         .map_batches(partial(_filter_completed, done=done), **stateless)
-        .map_batches(partial(extract_and_salt, salt_threshold=cfg.salt_threshold),
-                     **stateless)
+        .groupby("pid", num_partitions=num_partitions)
     )
-    # no repartition before the groupby: the extra all-to-all measured as
-    # pure overhead (16.2/18.8 s with vs 15.3/17.4 s without at 30k docs),
-    # and the groupby's own num_partitions bounds the shuffle width
-    return apply_align_stage(chunks, cfg).groupby("pid", num_partitions=num_partitions)
 
 
 def build_extract_pipeline(
@@ -194,7 +212,7 @@ def build_extract_pipeline(
     ``iter_batches`` / an aggregate, not ``take_all``."""
     cfg = config if config is not None else EngineConfig()
     return _plan(ds, cfg, cfg.resolved_partitions()).map_groups(
-        reassemble_group, batch_format="pyarrow")
+        partial(_extract_partition, cfg=cfg), batch_format="pyarrow")
 
 
 def run_checkpointed(
@@ -212,7 +230,7 @@ def run_checkpointed(
     num_partitions = resolve_num_partitions(out_dir, cfg)
     done = frozenset(completed_partitions(out_dir))
     result_ds = _plan(corpus, cfg, num_partitions, done).map_groups(
-        partial(_write_partition, out_dir=out_dir), batch_format="pyarrow")
+        partial(_write_partition, out_dir=out_dir, cfg=cfg), batch_format="pyarrow")
     summary = result_ds.to_pandas()
     out = {
         "partitions_written": int(summary.shape[0]),

@@ -1,91 +1,18 @@
-"""Building blocks of the extraction plan.
+"""Building blocks of the extraction plan's input side.
 
-* :func:`apply_align_stage` — the alignment stage in its configured
-  physical form (actor pool or tasks);
 * :func:`join_refs` — the two-table form's pair join on ``doc_id``;
 * :func:`read_corpus`.
 
-The plan itself — read, ``pid``, extract + salt, align, and the one
-``groupby("pid")`` shuffle into reassembly or the checkpointed sink — is
-built in ``pipelines/checkpoint.py``.
+The plan itself — read, ``pid``, the ``groupby("pid")`` exchange, and
+one task per partition that extracts, aligns, reassembles and (in the
+checkpointed sink) writes — is built in ``pipelines/checkpoint.py``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import ray.data
 
-from ..schema import EngineConfig, cluster_cpus
-from ..stages import AlignChunks
-
-
-def resolve_concurrency(cfg: EngineConfig):
-    """Aligner pool size: explicit config wins (clamped); otherwise a
-    FIXED pool of cpus-2 of the current session (headroom for the read /
-    shuffle / sink stages)."""
-    import ray
-
-    cpus = cluster_cpus()
-    # never reserve the LAST cpu — not even for an explicit request:
-    # actor pools hold their CPUs for the whole stage, and a pool as
-    # wide as the cluster starves the read/shuffle tasks — the streaming
-    # executor then deadlocks (observed at num_cpus=2 with a 2-actor
-    # pool: init fine, zero progress)
-    cap = max(1, cpus - 1)
-    if cfg.align_concurrency is not None:
-        if isinstance(cfg.align_concurrency, tuple):
-            lo, hi = cfg.align_concurrency
-            return (min(lo, cap), min(hi, cap))
-        return min(cfg.align_concurrency, cap)
-    # fixed pool: an autoscaling pool ramps from its floor over the first
-    # half of the job and leaves the alignment stage under-parallelized
-    # (measured ~14 effective actors of 30 at sf0.1)
-    return min(max(2, cpus - 2), cap)
-
-
-def apply_align_stage(chunks: ray.data.Dataset,
-                      cfg: EngineConfig) -> ray.data.Dataset:
-    """Attach the alignment stage in the configured physical form.
-
-    Default = ACTORS: a fixed pool PIPELINES against the read/extract
-    and shuffle stages, which wins every long corpus-scale run once the
-    pool startup amortizes (A/B, same session, 20k-100k docs:
-    4 cpus 65-72 s vs 105-115 s as tasks; 8 cpus 29-30 s vs 37-38 s;
-    32 cpus/100k docs 35.2 s vs 47.4 s).  ``align_mode='tasks'`` is the
-    right form for SHORT verification pipelines run back to back — the
-    stage's only state is the process-cached regex program, so tasks get
-    warm-once for free and skip the pool's startup/churn, which
-    dominates small runs (ten sf0.1 family queries: 21 s as tasks vs
-    64-87 s as pools; the driver's sf0.01 sweep shows the same shape).
-    Contradictory config (``align_mode='tasks'`` plus a pool size) is an
-    error, matching the repo convention for conflicting settings."""
-    from ..stages import align_chunks_batch
-
-    mode = cfg.align_mode
-    if mode is None:
-        mode = "actors"
-    elif mode not in ("tasks", "actors"):
-        raise ValueError(
-            f"align_mode must be 'tasks' or 'actors', got {mode!r}")
-    elif mode == "tasks" and cfg.align_concurrency is not None:
-        raise ValueError(
-            "align_mode='tasks' contradicts an explicit align_concurrency "
-            "(pool size); drop one of the two")
-    if mode == "actors":
-        return chunks.map_batches(
-            AlignChunks,
-            fn_constructor_kwargs={"config": cfg.align},
-            batch_format="pyarrow",
-            batch_size=cfg.align_batch_size,
-            concurrency=resolve_concurrency(cfg),
-            num_cpus=1,
-        )
-    return chunks.map_batches(
-        partial(align_chunks_batch, config=cfg.align),
-        batch_format="pyarrow",
-        batch_size=cfg.align_batch_size,
-    )
+from ..schema import cluster_cpus
 
 
 def read_corpus(path: str, columns=None) -> ray.data.Dataset:

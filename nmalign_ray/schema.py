@@ -116,30 +116,16 @@ class EngineConfig:
     )
     # skew handling: documents with more candidate segments than this are
     # salted into contiguous (doc_id, salt) chunks before alignment and
-    # re-merged by offset afterwards (north rule; SURVEY §4.2)
+    # re-merged by offset afterwards (north rule; SURVEY §4.2).  This
+    # bounds the size of each alignment call; all chunks of a document
+    # are still aligned in its partition's task, on one CPU
     salt_threshold: int = 256
-    # actor-pool sizing for the alignment stage: small batches keep task
-    # granularity ~0.1-1s so the pool load-balances (a big batch_size makes
-    # Ray COALESCE the input into few tasks and serializes the pool);
-    # autoscale the pool up to the node's CPU count
-    align_batch_size: int = 16
-    # physical form of the aligner stage: None (default) = "actors" — a
-    # fixed pool pipelines against the read/shuffle stages and wins
-    # every LONG corpus-scale run once startup amortizes (A/B 20k-100k
-    # docs: 4cpu 65-72 s vs 105-115 s as tasks, 8cpu 29-30 vs 37-38,
-    # 32cpu/100k 35.2 vs 47.4).  "tasks" = the right form for SHORT
-    # back-to-back verification pipelines, where pool startup/churn
-    # dominates (ten sf0.1 family queries: 21 s vs 64-87 s).  "tasks" +
-    # an explicit align_concurrency is a rejected contradiction.
-    align_mode: str | None = None
-    # pool sizing for align_mode="actors": None = a FIXED pool of
-    # cpus-2 (an autoscaling pool ramps too slowly and leaves the stage
-    # under-parallelized for the first half of the job — measured
-    # 13.8s -> 8.9s at sf0.1/32cpu)
-    align_concurrency: int | tuple[int, int] | None = None
-    # stateless-stage batch size
+    # documents per slice: the partition task extracts, aligns and
+    # reassembles this many documents at a time (and the sink writes
+    # each slice as it is done); also the batch size of the map before
+    # the exchange
     extract_batch_size: int = 64
-    # output partitioning AND reassembly-shuffle width:
+    # output partitioning AND the width of the input exchange:
     # partition_id = crc32(doc_id) % num_partitions.
     # None (the default) = derive from the cluster at run time,
     # max(32, CPUs) — a fixed 32 starves the sink at 4N nodes (round-3

@@ -1,21 +1,23 @@
-"""Ray Data stages of the extraction pipeline.
+"""The per-partition stages of the extraction pipeline.
 
 Stage layout (SURVEY §3.4 / §7.2):
 
-| stage          | kind                         | unit            |
-|----------------|------------------------------|-----------------|
-| extract + salt | stateless ``map_batches``    | document -> chunk rows |
-| align          | actor pool ``map_batches``   | chunk           |
-| reassemble     | ``groupby("pid").map_groups`` (sort-based shuffle) | partition -> document rows |
+| stage          | runs in                                      | unit                    |
+|----------------|----------------------------------------------|-------------------------|
+| extract + salt | the partition's ``map_groups`` task          | document -> chunk rows  |
+| align          | the same task (``AlignChunks``, in process)  | chunk                   |
+| reassemble     | the same task (``reassemble_group``)         | chunks -> document rows |
 
-``pid = crc32(doc_id) % P`` is computed once at the read
-(``pipelines/checkpoint.py``) and rides through every stage's rows.
+``pid = crc32(doc_id) % P`` is computed once at the read, and the one
+exchange, ``groupby("pid")``, moves the input rows before any stage runs
+(``pipelines/checkpoint.py``).  Each partition's task then runs the three
+stages over slices of ``extract_batch_size`` documents.
 
-All stages are Arrow-in / Arrow-out (``batch_format="pyarrow"``).
+All stages are Arrow-in / Arrow-out.
 """
 
 from .extract_stage import CHUNK_SCHEMA, extract_and_salt
-from .aligner import ALIGNED_SCHEMA, AlignChunks, align_chunks_batch
+from .aligner import ALIGNED_SCHEMA, AlignChunks
 from .reassemble import reassemble_group
 from .rollup import ROLLUP_SCHEMA, rollup_batch, rollup_documents, rollup_spans
 
@@ -24,7 +26,6 @@ __all__ = [
     "ALIGNED_SCHEMA",
     "extract_and_salt",
     "AlignChunks",
-    "align_chunks_batch",
     "reassemble_group",
     "ROLLUP_SCHEMA",
     "rollup_batch",

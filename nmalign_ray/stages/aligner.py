@@ -1,31 +1,20 @@
-"""Aligner stage: chunk rows -> aligned span rows (tasks or actor pool).
+"""Aligner kernel: chunk rows -> aligned span rows, in process.
 
-Two physical forms over the same kernel (``document.align_chunk`` — the
-function the serial oracle uses, which is what guarantees fixture
-parity):
-
-* ``AlignChunks`` — the ACTOR-POOL form and the default
-  (``map_batches(AlignChunks, concurrency=N)``): a fixed pool PIPELINES
-  against the read/extract and shuffle stages, which wins every LONG
-  corpus-scale run once pool startup amortizes.  Same-session A/B over
-  20k-100k docs: 4 cpus 65-72 s (pool) vs 105-115 s (tasks); 8 cpus
-  29-30 vs 37-38; 32 cpus at 100k docs 35.2 vs 47.4.
-* ``align_chunks_batch`` — the TASK form, selected via
-  ``EngineConfig.align_mode='tasks'``: the stage's only "state" is the
-  compiled regex program, and ``make_preprocessor`` caches compiled
-  patterns per PROCESS; Ray task workers are reused processes, so the
-  warm-once property holds with zero pool semantics.  The right form
-  for SHORT verification pipelines run back to back, where pool
-  startup/churn dominates: ten sf0.1 family queries ran 21 s as tasks
-  vs 64-87 s as pools (with intermittent 15-20 s churn stalls), and a
-  30k-doc one-shot headline in a shared session read 13.7-14.4 s vs
-  16.3-23.3 — short-run numbers that INVERT on long runs, which is why
-  the default is the pool.
+``AlignChunks(config)(chunks)`` aligns every chunk of a batch with
+``document.align_chunk`` — the function the serial oracle uses, which is
+what guarantees fixture parity — after ONE batched similarity pass over
+all of the batch's chunks.  The extraction plan calls it inside each
+partition's task, once per slice of documents
+(``pipelines/checkpoint.py::_partition_slices``); there is no separate
+aligner operator or actor pool.  Its only state is the compiled regex
+program, which ``make_preprocessor`` caches per process, and Ray reuses
+task worker processes across rounds, so the program is compiled once
+per worker.
 
 This is the counterpart of the reference's per-page ``align.match``
 invocation (``/root/reference/nmalign/ocrd/cli.py:227-234``,
-``workers=1`` per page — each worker processes one chunk row; Ray task
-scheduling replaces page-level multiprocessing).
+``workers=1`` per page); one Ray task per partition replaces page-level
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -55,7 +44,7 @@ ALIGNED_SCHEMA = pa.schema(
 class AlignChunks:
     def __init__(self, config: AlignConfig | None = None):
         self.config = config if config is not None else AlignConfig()
-        # warm the compiled-regex cache once per actor
+        # warm the process's compiled-regex cache
         make_preprocessor(self.config.normalization)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -104,9 +93,3 @@ class AlignChunks:
             rows["unmatched_cands"].append(unmatched)
         return pa.Table.from_pydict(rows, schema=ALIGNED_SCHEMA)
 
-
-def align_chunks_batch(batch: pa.Table, config: AlignConfig | None = None
-                       ) -> pa.Table:
-    """Task-form aligner (``align_mode='tasks'``; the engine default is
-    the AlignChunks actor pool — see module docstring)."""
-    return AlignChunks(config)(batch)

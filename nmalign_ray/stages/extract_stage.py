@@ -3,16 +3,15 @@
 One input row (``doc_id, spans, ref_spans``) becomes one or more chunk
 rows — documents whose candidate count exceeds the salt threshold are
 split into contiguous ``(doc_id, salt)`` windows (north rule skew
-handling; SURVEY §4.2) so no single alignment call exceeds the bound and
-oversized documents load-balance across the aligner actor pool instead
-of straggling one worker (the reference holds a whole page in RAM
-instead, ``/root/reference/nmalign/lib/align.py:60-61``).
+handling; SURVEY §4.2) so no single alignment call exceeds the bound
+(the reference holds a whole page in RAM instead, its
+``nmalign/lib/align.py:60-61``).  Salting bounds the size
+of each kernel call; it does not spread one giant document across CPUs,
+because all of a document's chunks are aligned in its partition's task.
 
-This stage is pure and cheap relative to alignment, so it runs as
-stateless Ray tasks with a large batch size.  The per-document work
-(DOM parsing, layout re-sort) is inherently row-wise; the engine's
-vectorization budget is spent where it matters — the alignment DP —
-while this stage's batches stay zero-copy Arrow in/out.
+The per-document work (DOM parsing, layout re-sort) is inherently
+row-wise; the engine's vectorization budget is spent where it matters —
+the alignment DP — while this stage's batches stay Arrow in/out.
 """
 
 from __future__ import annotations

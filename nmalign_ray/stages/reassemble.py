@@ -1,11 +1,11 @@
 """Reassembly stage: merge aligned chunks back into documents by offset.
 
-The plan shuffles on the partition key ``pid = crc32(doc_id) % P``
-(Ray's sort-based ``groupby("pid").map_groups``), so one group holds
-every chunk of each of its documents — salted chunk outputs and media
-markers meet here, are merged and sorted by ``offset`` (the in-group
-sort replaces a global ``Dataset.sort``, SURVEY §4.2), and the
-reference's global-stats reduction (``mp.Manager`` dict,
+Each partition's task (``pipelines/checkpoint.py``) extracts and aligns
+its documents slice by slice, and every chunk of a document lands in its
+document's slice — so salted chunk outputs and media markers meet here,
+are merged and sorted by ``offset`` (the per-slice sort replaces a global
+``Dataset.sort``, SURVEY §4.2), and the reference's global-stats
+reduction (``mp.Manager`` dict,
 ``/root/reference/nmalign/ocrd/cli.py:110-118``) becomes per-document
 metric columns aggregated downstream by dataflow.
 """

@@ -24,8 +24,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def config():
-    return EngineConfig(salt_threshold=64, num_partitions=4,
-                        align_batch_size=8, align_concurrency=2)
+    return EngineConfig(salt_threshold=64, num_partitions=4)
 
 
 def spans_key(table):
@@ -130,8 +129,7 @@ class TestCheckpointedSink:
         # e2e: auto-partitioned run, torn partition, resume repairs it and
         # the output matches the uninterrupted run (the filter reads the
         # pinned P, not a re-derived one)
-        cfg = EngineConfig(salt_threshold=64, num_partitions=None,
-                           align_batch_size=8, align_concurrency=2)
+        cfg = EngineConfig(salt_threshold=64, num_partitions=None)
         out = str(tmp_path / "auto")
         ds = ray_session.data.from_arrow(corpus)
         run_checkpointed(ds, out, cfg)
@@ -171,8 +169,7 @@ import ray.data
 from nmalign_ray.pipelines.checkpoint import run_checkpointed
 from nmalign_ray.schema import EngineConfig
 ds = ray.data.read_parquet(sys.argv[2])
-cfg = EngineConfig(salt_threshold=64, align_batch_size=8,
-                   align_concurrency=2)
+cfg = EngineConfig(salt_threshold=64)
 print(run_checkpointed(ds, sys.argv[3], cfg))
 ray.shutdown()
 """
@@ -209,3 +206,90 @@ ray.shutdown()
         summary = run_checkpointed(ds, out, config)
         assert summary["partitions_written"] == 0
         assert summary["partitions_skipped"] == config.num_partitions
+
+
+class TestKillMidRound:
+    def test_partitions_commit_before_the_round_ends(self, ray_session, tmp_path):
+        # SIGKILL a running job half a second after its first partition
+        # is committed: the partitions aligned so far must be on disk
+        # while the rest are still being aligned, and a resume must skip
+        # exactly those and finish with the oracle's output
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from nmalign_ray.corpus import make_skewed_document
+        from nmalign_ray.schema import CORPUS_SCHEMA, OUTPUT_SCHEMA
+
+        # a partition task takes its groups in pid order, so the
+        # 2000-span document (8 salted chunks, seconds of alignment) goes
+        # into the last partition: every other partition commits while
+        # it is still being aligned
+        num_partitions = 4
+        small = generate_corpus(num_docs=16, seed=7)
+        slow = next(doc for doc in (make_skewed_document(k, 7, 2000)
+                                    for k in range(100))
+                    if doc_partition(doc[0], num_partitions) == num_partitions - 1)
+        corpus = pa.concat_tables([small, pa.Table.from_pydict(
+            {"doc_id": [slow[0]], "spans": [slow[1]], "ref_spans": [slow[2]]},
+            schema=CORPUS_SCHEMA)])
+        cfg = EngineConfig(num_partitions=num_partitions)
+        expected = {doc_partition(d, num_partitions)
+                    for d in corpus["doc_id"].to_pylist()}
+        assert len(expected) > 2
+
+        src = tmp_path / "corpus.parquet"
+        pq.write_table(corpus, src)
+        out = str(tmp_path / "out")
+        script = f"""
+import sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=200_000_000)
+import ray.data
+from nmalign_ray.pipelines.checkpoint import run_checkpointed
+from nmalign_ray.schema import EngineConfig
+run_checkpointed(ray.data.read_parquet(sys.argv[1]), sys.argv[2],
+                 EngineConfig(num_partitions={num_partitions}))
+print("job returned")
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))))
+        # its own session, so one killpg takes the driver and the Ray
+        # processes it started
+        log = tmp_path / "job.log"
+        with open(log, "w") as sink:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script, str(src), out], env=env,
+                stdout=sink, stderr=subprocess.STDOUT,
+                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 240
+            while not completed_partitions(out):
+                assert proc.poll() is None, log.read_text()[-2000:]
+                assert time.monotonic() < deadline, "no commit within 240 s"
+                time.sleep(0.02)
+            # far longer than committing the remaining partitions takes
+            # once they are aligned
+            time.sleep(0.5)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=60)
+        assert "job returned" not in log.read_text()
+        committed = completed_partitions(out)
+        assert 0 < len(committed) < len(expected)
+
+        summary = run_checkpointed(
+            ray_session.data.read_parquet(str(src)), out, cfg)
+        assert summary["partitions_skipped"] == len(committed)
+        assert summary["partitions_written"] == len(expected) - len(committed)
+        want = oracle_table(corpus, cfg.align, salt_threshold=cfg.salt_threshold)
+        got = read_output(out).cast(OUTPUT_SCHEMA)
+        assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))

@@ -107,6 +107,25 @@ class TestExtractJob:
         assert "MissingInputError" in (r.stderr + r.stdout)
 
 
+    def test_config_rejects_unknown_keys(self):
+        from nmalign_ray.jobs.extract_job import JOB_KEYS, config_from_json
+
+        # every documented key is accepted
+        doc = {"normalization": {"x": "y"}, "cutoff": 0.5,
+               "allow_splits": False, "salt_threshold": 99,
+               "num_partitions": 8, "refs": "/data/refs",
+               "missing_input": "abort", "on_duplicate": "last"}
+        assert set(doc) == JOB_KEYS
+        cfg = config_from_json(doc)
+        assert (cfg.salt_threshold, cfg.num_partitions) == (99, 8)
+        assert cfg.align.cutoff == 0.5 and cfg.align.try_subseg is False
+        # a retired or misspelled key is named in the error
+        for key in ("align_mode", "align_concurrency", "align_batch_size",
+                    "salt_treshold"):
+            with pytest.raises(ValueError, match=key):
+                config_from_json({"num_partitions": 4, key: 1})
+
+
 class TestCliFilelist:
     def test_filelist_inputs(self, tmp_path):
         files = []

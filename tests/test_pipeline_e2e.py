@@ -22,7 +22,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def config():
-    return EngineConfig(salt_threshold=64, align_batch_size=8, align_concurrency=2)
+    return EngineConfig(salt_threshold=64)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,12 @@ def spans_key(table: pa.Table):
     return out
 
 
-def run_pipeline(ray_session, corpus, config):
-    ds = ray_session.data.from_arrow(corpus)
-    return build_extract_pipeline(ds, config).to_arrow_refs()
+def collect_pipeline(ray_session, ds, config) -> pa.Table:
+    """The lazy pipeline's output as one table (empty shuffle partitions
+    emit column-less zero-row blocks, which are dropped)."""
+    out = build_extract_pipeline(ds, config)
+    return pa.concat_tables(
+        [t for t in map(ray_session.get, out.to_arrow_refs()) if t.num_rows])
 
 
 class TestPipelineMatchesOracle:
@@ -124,9 +127,9 @@ class TestOnePlan:
     def test_sink_and_both_align_forms_equal_oracle(
         self, ray_session, corpus, golden, tmp_path
     ):
-        # the checkpointed sink, the lazy pipeline in both aligner forms
-        # and the serial oracle agree exactly (spans, metrics, bits),
-        # salted and media-bearing documents included
+        # both forms of the one plan — the checkpointed sink and the lazy
+        # pipeline — and the serial oracle agree exactly (spans, metrics,
+        # bits), salted and media-bearing documents included
         import re
 
         from nmalign_ray.pipelines.checkpoint import read_output, run_checkpointed
@@ -135,65 +138,49 @@ class TestOnePlan:
         out_dir = str(tmp_path / "out")
         job = run_checkpointed(ds, out_dir, EngineConfig(salt_threshold=64),
                                collect_stats=True)
-
-        def collect(cfg):
-            out = build_extract_pipeline(ds, cfg)
-            return pa.concat_tables(
-                [t for t in map(ray_session.get, out.to_arrow_refs())
-                 if t.num_rows])
-
         outputs = [
             read_output(out_dir),
-            collect(EngineConfig(salt_threshold=64)),
-            collect(EngineConfig(salt_threshold=64, align_mode="tasks")),
+            collect_pipeline(ray_session, ds, EngineConfig(salt_threshold=64)),
         ]
         want = golden.sort_by("doc_id")
         for got in outputs:
             assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
 
-        # pid is computed at the read, so nothing runs after the aligner
-        # but the shuffle (no separate post-align operator)
+        # the exchange moves the input rows: pid and the resume filter run
+        # before the Sort, and extract/align/reassemble/write all run in
+        # the one per-partition operator after it — no aligner operator,
+        # no actor pool
         ops = re.findall(r"^Operator \d+ (.+?): ", job["stats"], re.MULTILINE)
-        align = next(k for k, op in enumerate(ops) if "AlignChunks" in op)
-        assert "_add_pid" in ops[align] and ops[align + 1].startswith("Sort"), ops
+        sort = next(k for k, op in enumerate(ops) if op.startswith("Sort"))
+        assert "_add_pid" in ops[sort - 1], ops
+        assert "_filter_completed" in ops[sort - 1], ops
+        assert "_write_partition" in ops[sort + 1], ops
+        assert "AlignChunks" not in job["stats"]
+        assert "actor" not in job["stats"].lower()
 
-
-class TestLocalReassembly:
-    # the family queries' form (align_mode="tasks") once reassembled
-    # block-locally; it now goes through the same pid groupby as the
-    # actor form, and both must still equal the oracle
-    @pytest.fixture(scope="class")
-    def tasks_cfg(self):
-        return EngineConfig(salt_threshold=64, align_batch_size=8,
-                            align_mode="tasks")
-
-    def test_local_equals_shuffle_and_oracle(
-        self, ray_session, corpus, config, golden, tasks_cfg
+    def test_slice_boundaries_equal_oracle(
+        self, ray_session, corpus, golden, tmp_path
     ):
+        # slices of 3 documents cut every partition many times over; each
+        # slice is committed to the partition's file as one row group
+        import math
+
+        import pyarrow.parquet as pq
+
+        from nmalign_ray.pipelines.checkpoint import read_output, run_checkpointed
+
+        cfg = EngineConfig(salt_threshold=64, extract_batch_size=3,
+                           num_partitions=2)
         ds = ray_session.data.from_arrow(corpus)
-
-        def collect(cfg):
-            out = build_extract_pipeline(ds, cfg)
-            return pa.concat_tables(
-                [t for t in map(ray_session.get, out.to_arrow_refs())
-                 if t.num_rows])
-
-        got = spans_key(collect(tasks_cfg))
-        assert got == spans_key(collect(config))
-        assert got == spans_key(golden)
-
-    def test_local_metrics_match_oracle(
-        self, ray_session, corpus, golden, tasks_cfg
-    ):
-        ds = ray_session.data.from_arrow(corpus)
-        out = build_extract_pipeline(ds, tasks_cfg).to_pandas()
-        want = golden.to_pandas()
-        merged = out.merge(want, on="doc_id", suffixes=("", "_w"))
-        assert len(merged) == len(want) == len(out)
-        assert (merged.matched == merged.matched_w).all()
-        assert (merged.total == merged.total_w).all()
-        assert (merged.unmatched_ref_count == merged.unmatched_ref_count_w).all()
-        assert (merged.mean_score == merged.mean_score_w).all()
+        out_dir = str(tmp_path / "out")
+        run_checkpointed(ds, out_dir, cfg)
+        want = golden.sort_by("doc_id")
+        for got in (read_output(out_dir), collect_pipeline(ray_session, ds, cfg)):
+            assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+        for pid in range(2):
+            meta = pq.ParquetFile(
+                str(tmp_path / "out" / f"part={pid}" / "data.parquet")).metadata
+            assert meta.num_row_groups == math.ceil(meta.num_rows / 3) > 1
 
 
 class TestJoinEdges:
@@ -265,7 +252,7 @@ class TestGlyphFamily:
         tbl = corpus_from_documents(texts, [0, 1], families=("glyph",))
         out = build_extract_pipeline(
             ray_session.data.from_arrow(tbl),
-            EngineConfig(align_concurrency=2),
+            EngineConfig(),
         ).to_pandas().sort_values("doc_id")
         assert (out["mean_score"] == 1.0).all()
         assert (out["matched"] == out["total"]).all()
@@ -274,53 +261,3 @@ class TestGlyphFamily:
             segs = [" ".join(words[i:i + 8]) for i in range(0, len(words), 8)]
             got = [s["text"] for s in row["spans"]]
             assert got == [glyph_noise(s, None) for s in segs]
-
-
-class TestAlignModes:
-    def test_task_and_actor_forms_agree_span_for_span(
-        self, ray_session, corpus, config, golden
-    ):
-        # the default TASK form must equal both the actor-pool form and
-        # the serial oracle on the full fixture mix (incl. salted skew) —
-        # this is the direct pin on align_chunks_batch, which the
-        # actor-pinned configs elsewhere never exercise
-        tasks_cfg = EngineConfig(salt_threshold=64, align_batch_size=8,
-                                 align_mode="tasks")
-        out_tasks = build_extract_pipeline(
-            ray_session.data.from_arrow(corpus), tasks_cfg)
-        got = spans_key(pa.concat_tables(
-            [t for t in map(ray_session.get, out_tasks.to_arrow_refs())
-             if t.num_rows]))
-        assert got == spans_key(golden)
-
-    def test_mode_validation(self, ray_session, corpus):
-        ds = ray_session.data.from_arrow(corpus)
-        with pytest.raises(ValueError, match="align_mode must be"):
-            build_extract_pipeline(ds, EngineConfig(align_mode="actor"))
-        with pytest.raises(ValueError, match="contradicts"):
-            build_extract_pipeline(
-                ds, EngineConfig(align_mode="tasks", align_concurrency=4))
-
-    def test_explicit_pool_width_is_clamped(self):
-        # an explicit align_concurrency as wide as the cluster would
-        # deadlock the streaming executor; resolve_concurrency caps it
-        import ray as _ray
-
-        from nmalign_ray.pipelines.extract import resolve_concurrency
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-        assert resolve_concurrency(
-            EngineConfig(align_concurrency=cpus + 5)) == cpus - 1
-        lo, hi = resolve_concurrency(
-            EngineConfig(align_concurrency=(2, cpus + 5)))
-        assert hi == cpus - 1 and lo == 2
-
-    def test_explicit_actors_mode_runs(self, ray_session, corpus, golden):
-        out = build_extract_pipeline(
-            ray_session.data.from_arrow(corpus),
-            EngineConfig(salt_threshold=64, align_batch_size=8,
-                         align_mode="actors", align_concurrency=2))
-        got = spans_key(pa.concat_tables(
-            [t for t in map(ray_session.get, out.to_arrow_refs())
-             if t.num_rows]))
-        assert got == spans_key(golden)
