@@ -22,7 +22,7 @@ Any other key is an error (``config_from_json`` raises ``ValueError``
 naming it), so a misspelled or retired setting never goes unnoticed.
 
 The SAME entrypoint runs unchanged at any cluster size (the north rule's
-N vs 4N criterion): the per-partition tasks spread over the session's CPUs, data
+N vs 4N criterion): one pid-range task per session CPU, data
 parallelism from the input fragments, and the checkpointed sink makes
 reruns resume from completed partitions.
 
@@ -94,7 +94,6 @@ def main(argv=None) -> int:
         refs_path = args.refs or doc.get("refs")
         if refs_path:
             ds = join_refs(ds, ray.data.read_parquet(refs_path),
-                           num_partitions=cfg.resolved_partitions(),
                            missing=doc.get("missing_input", "skip"),
                            on_duplicate=doc.get("on_duplicate", "raise"))
         summary = run_checkpointed(ds, args.output, cfg)

@@ -1,33 +1,42 @@
 """The extraction plan, its checkpointed partitioned sink, and resume.
 
 One plan serves both public entry points.  The exchange comes FIRST, on
-the input rows; everything after it runs inside one task per partition::
+the input rows; everything after it runs inside one task per pid range::
 
     read corpus                                  [doc_id, spans, ref_spans]
       -> map_batches(_add_pid)                   pid = crc32(doc_id) % P, once
       -> map_batches(_filter_completed)          resume: drop finished pids
-      -> groupby("pid")                          Ray's sort-based exchange
-      -> map_groups(per-partition function), per slice of
-         ``extract_batch_size`` documents in doc_id order:
+      -> sort("pid", boundaries)                 one block per CPU: an empty
+                                                 one, then CPUs - 1 pid ranges
+      -> map_batches(per-range function), per partition of the range in
+         pid order, per slice of ``extract_batch_size`` documents in
+         doc_id order:
            extract_and_salt                      parse cascade + skew salting
            -> AlignChunks(cfg.align)             forced alignment per chunk
            -> reassemble_group                   chunks -> document rows
 
-* :func:`build_extract_pipeline` ends in ``map_groups(_extract_partition)``
+* :func:`build_extract_pipeline` ends in ``map_batches(_extract_partition)``
   and returns the lazy ``OUTPUT_SCHEMA`` Dataset;
-* :func:`run_checkpointed` ends in ``map_groups(_write_partition)``, which
-  streams each slice into the partition's parquet file.
+* :func:`run_checkpointed` ends in ``map_batches(_write_partition)``, which
+  streams each slice into its partition's parquet file and commits each
+  partition as soon as it is written.
 
-The exchange moves the input rows rather than the aligned chunks, so
-a partition is committed as soon as its own task finishes, not after every
-document of the round has been aligned.  The heavy work runs in plain Ray
-tasks, which reuse the session's workers from round to round (no per-round
-actor pool to start).  Measured on 4 vCPU (``perfbench/run.py --seconds 14
---trace 0``, medians of ten seeds against the actor-pool plan):
-``mix`` 329 -> 910 docs/s and 13.4 -> 5.5 s CPU a round; ``giant``
-1.57 -> 4.07 docs/s.  Salting bounds the size of each alignment call; it
-does not spread one giant document across CPUs (its chunks stay in its
-partition's task).
+The exchange moves the input rows rather than the aligned chunks, so a
+partition is committed as soon as it is done, not after every document of
+the round has been aligned.  The heavy work runs in plain Ray tasks, which
+reuse the session's workers from round to round.  The exchange's width is
+chosen by the plan (:func:`_exchange`): fixed boundaries cut the rows into
+one block per CPU, whatever the input's block layout (a sort-based
+``groupby`` made one reducer per input block, so ``giant``'s four
+documents, merged into one block by the pid map, ran in one task).
+Measured on 4 vCPU (``perfbench/run.py --seconds 14 --trace 0``, medians
+of 18 runs alternating with the ``groupby`` plan): ``giant`` 3.46 -> 5.25
+docs/s; ``mix`` 805 -> 1022 docs/s and 6.00 -> 4.81 s CPU a round; set-up
+about 15% longer, because the first execution in a session runs several
+tasks at once and Ray starts worker processes for them.  Salting bounds
+the size of each alignment call; it does not spread one giant document
+across CPUs: its chunks stay in one range task, and a range holds whole
+partitions, so heavy pids that share a range run one after another.
 
 North-rule requirement: "resumable from checkpoint with per-partition
 lineage + metrics".  This generalizes the reference's page-granular
@@ -38,10 +47,11 @@ idempotency (skip pages whose output file already exists,
   ``pid = crc32(doc_id) % P`` (stable across runs and machines — NOT
   Python's salted ``hash``), computed once right after the read;
 * the one shuffle is keyed on ``pid``: it co-locates all documents of a
-  partition, and the per-group task extracts, aligns and reassembles
-  them, writes ``out_dir/part=<pid>/data.parquet`` ATOMICALLY (tmp +
-  rename) and a lineage record ``out_dir/_manifest/part-<pid>.json``
-  with row counts and metrics;
+  partition in one range, and the range task extracts, aligns and
+  reassembles each of its partitions in turn, writes
+  ``out_dir/part=<pid>/data.parquet`` ATOMICALLY (tmp + rename) and a
+  lineage record ``out_dir/_manifest/part-<pid>.json`` with row counts
+  and metrics;
 * on resume, completed partitions are read from the manifest and their
   documents are filtered out right after the read — the heavy stages
   never see them.
@@ -59,15 +69,17 @@ import os
 import shutil
 from functools import partial
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard, crc32_shards
+from ..schema import EngineConfig, OUTPUT_SCHEMA, cluster_cpus, crc32_shard, crc32_shards
 from ..stages import extract_stage
 from ..stages.aligner import AlignChunks
 from ..stages.reassemble import reassemble_group
+from .extract import range_boundaries
 
 
 def doc_partition(doc_id: str, num_partitions: int) -> int:
@@ -136,6 +148,25 @@ def _filter_completed(batch: pa.Table, done: frozenset) -> pa.Table:
     return batch.filter(pc.invert(finished))
 
 
+_SUMMARY_SCHEMA = pa.schema([(name, pa.int64()) for name in (
+    "pid", "num_docs", "matched", "total", "unmatched_ref_count")])
+
+
+def _pid_runs(block: pa.Table):
+    """Yield ``(pid, rows)`` for each run of one ``pid`` in a pid-sorted
+    block, in pid order; ``rows`` is a zero-copy slice.  An empty block
+    (which may have no columns) yields nothing."""
+    if block.num_rows == 0:
+        return
+    pids = block["pid"].to_numpy()
+    cuts = np.flatnonzero(pids[1:] != pids[:-1]) + 1
+    if (pids[cuts] < pids[cuts - 1]).any():
+        raise ValueError("block is not sorted by pid: a partition would be "
+                         "written from more than one run")
+    for lo, hi in zip([0, *cuts], [*cuts, len(pids)]):
+        yield int(pids[lo]), block.slice(lo, hi - lo)
+
+
 def _partition_slices(group: pa.Table, cfg: EngineConfig):
     """Extract, align and reassemble one partition's documents, yielding
     one ``OUTPUT_SCHEMA`` table per slice of ``cfg.extract_batch_size``
@@ -153,54 +184,91 @@ def _partition_slices(group: pa.Table, cfg: EngineConfig):
         yield reassemble_group(aligner(chunks))
 
 
-def _extract_partition(group: pa.Table, cfg: EngineConfig) -> pa.Table:
-    """One partition's documents -> their ``OUTPUT_SCHEMA`` rows."""
-    return pa.concat_tables(list(_partition_slices(group, cfg)))
-
-
-def _write_partition(group: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Table:
-    """Process one partition slice by slice into one parquet file, then
-    commit it atomically: data first (tmp + rename), then its manifest."""
-    pid = int(group["pid"][0].as_py())
-    part_dir = os.path.join(out_dir, f"part={pid}")
-    tmp_dir = os.path.join(out_dir, "_tmp", f"part={pid}")
-    os.makedirs(os.path.dirname(tmp_dir), exist_ok=True)
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    os.makedirs(tmp_dir)
-    manifest = {"pid": pid, "num_docs": 0, "matched": 0, "total": 0,
-                "unmatched_ref_count": 0}
-    with pq.ParquetWriter(os.path.join(tmp_dir, "data.parquet"), OUTPUT_SCHEMA) as writer:
+def _extract_partition(block: pa.Table, cfg: EngineConfig):
+    """One pid range's documents -> their ``OUTPUT_SCHEMA`` rows, yielded
+    slice by slice, partition by partition, so the task's output blocks
+    are cut by Ray's block size, not by the size of the range."""
+    empty = True
+    for _, group in _pid_runs(block):
         for table in _partition_slices(group, cfg):
-            writer.write_table(table)
-            manifest["num_docs"] += table.num_rows
-            for name in ("matched", "total", "unmatched_ref_count"):
-                manifest[name] += int(pc.sum(table[name]).as_py() or 0)
-    shutil.rmtree(part_dir, ignore_errors=True)
-    os.replace(tmp_dir, part_dir)
+            empty = False
+            yield table
+    if empty:
+        yield OUTPUT_SCHEMA.empty_table()
 
+
+def _write_partition(block: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Table:
+    """Process one pid range partition by partition, in pid order.  Each
+    partition streams slice by slice into its own parquet file and is
+    committed atomically as soon as it is done: data first (tmp +
+    rename), then its manifest.  Returns one summary row per partition.
+
+    A partition whose manifest already exists was committed by an
+    earlier attempt of this task (the resume filter removed every
+    partition committed before the run), so a retried range keeps it
+    as it is and reports its manifest."""
     mdir = os.path.join(out_dir, "_manifest")
-    os.makedirs(mdir, exist_ok=True)
-    mtmp = os.path.join(mdir, f".part-{pid}.json.tmp")
-    with open(mtmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(mtmp, os.path.join(mdir, f"part-{pid}.json"))
+    manifests = []
+    for pid, group in _pid_runs(block):
+        committed = os.path.join(mdir, f"part-{pid}.json")
+        if os.path.exists(committed):
+            with open(committed) as f:
+                manifests.append(json.load(f))
+            continue
+        part_dir = os.path.join(out_dir, f"part={pid}")
+        tmp_dir = os.path.join(out_dir, "_tmp", f"part={pid}")
+        os.makedirs(os.path.dirname(tmp_dir), exist_ok=True)
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        os.makedirs(tmp_dir)
+        manifest = {"pid": pid, "num_docs": 0, "matched": 0, "total": 0,
+                    "unmatched_ref_count": 0}
+        with pq.ParquetWriter(os.path.join(tmp_dir, "data.parquet"), OUTPUT_SCHEMA) as writer:
+            for table in _partition_slices(group, cfg):
+                writer.write_table(table)
+                manifest["num_docs"] += table.num_rows
+                for name in ("matched", "total", "unmatched_ref_count"):
+                    manifest[name] += int(pc.sum(table[name]).as_py() or 0)
+        shutil.rmtree(part_dir, ignore_errors=True)
+        os.replace(tmp_dir, part_dir)
 
-    return pa.Table.from_pydict(
-        {k: [v] for k, v in manifest.items()},
-        schema=pa.schema([(k, pa.int64()) for k in manifest]),
-    )
+        os.makedirs(mdir, exist_ok=True)
+        mtmp = os.path.join(mdir, f".part-{pid}.json.tmp")
+        with open(mtmp, "w") as f:
+            json.dump(manifest, f)
+        os.replace(mtmp, committed)
+        manifests.append(manifest)
+    return pa.Table.from_pylist(manifests, schema=_SUMMARY_SCHEMA)
+
+
+def _exchange(rows: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
+    """Sort the rows on ``pid`` into one output block per cluster CPU
+    (``min(P + 1, CPUs)`` blocks, at least two), so one task per block
+    of the next map.
+
+    The first block holds the pids below 0 and is always empty: its task
+    returns at once.  Until one of its tasks has returned output, Ray
+    Data 2.49 reserves ``2 x target_max_block_size`` (256 MiB) of object
+    store per task of an operator, so on a store of up to about 2 GiB
+    (4 CPUs) one range task ran alone while the others waited for it
+    (the second ``mix`` round of a ``perfbench`` session on 4 vCPU, whose
+    store is 512 MiB: 3.1 s without the empty block, 1.3 s with it; with
+    a 4 GiB store, 1.30 and 1.37 s).  The empty task holds its CPU slot
+    until the executor's next 0.1 s poll, so the other blocks cut
+    ``[0, P)`` into CPUs - 1 ranges and every range task starts at once."""
+    ranges = max(1, cluster_cpus() - 1)
+    return rows.sort("pid", boundaries=[0, *range_boundaries(num_partitions, ranges)])
 
 
 def _plan(corpus: ray.data.Dataset, cfg: EngineConfig, num_partitions: int,
-          done: frozenset = frozenset()):
-    """The extraction plan up to its one exchange (module docstring),
-    grouped by ``pid``; the caller picks the per-partition function."""
+          per_range, done: frozenset = frozenset()) -> ray.data.Dataset:
+    """The extraction plan (module docstring): ``pid``, the resume
+    filter, the exchange into pid ranges, and ``per_range`` — the
+    per-range function — as one task per range."""
     stateless = {"batch_format": "pyarrow", "batch_size": cfg.extract_batch_size}
-    return (
-        corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
-        .map_batches(partial(_filter_completed, done=done), **stateless)
-        .groupby("pid", num_partitions=num_partitions)
-    )
+    rows = (corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
+            .map_batches(partial(_filter_completed, done=done), **stateless))
+    return _exchange(rows, num_partitions).map_batches(
+        per_range, batch_size=None, batch_format="pyarrow")
 
 
 def build_extract_pipeline(
@@ -211,8 +279,7 @@ def build_extract_pipeline(
     Dataset, one row per document.  Consume it with ``write_parquet`` /
     ``iter_batches`` / an aggregate, not ``take_all``."""
     cfg = config if config is not None else EngineConfig()
-    return _plan(ds, cfg, cfg.resolved_partitions()).map_groups(
-        partial(_extract_partition, cfg=cfg), batch_format="pyarrow")
+    return _plan(ds, cfg, cfg.resolved_partitions(), partial(_extract_partition, cfg=cfg))
 
 
 def run_checkpointed(
@@ -229,8 +296,8 @@ def run_checkpointed(
     cfg = config if config is not None else EngineConfig()
     num_partitions = resolve_num_partitions(out_dir, cfg)
     done = frozenset(completed_partitions(out_dir))
-    result_ds = _plan(corpus, cfg, num_partitions, done).map_groups(
-        partial(_write_partition, out_dir=out_dir, cfg=cfg), batch_format="pyarrow")
+    result_ds = _plan(corpus, cfg, num_partitions,
+                      partial(_write_partition, out_dir=out_dir, cfg=cfg), done)
     summary = result_ds.to_pandas()
     out = {
         "partitions_written": int(summary.shape[0]),

@@ -1,11 +1,15 @@
 """Building blocks of the extraction plan's input side.
 
+* :func:`range_boundaries` — the boundaries of the plan's and the pair
+  join's exchange: a sort on an integer key into a fixed number of
+  contiguous key ranges;
 * :func:`join_refs` — the two-table form's pair join on ``doc_id``;
 * :func:`read_corpus`.
 
-The plan itself — read, ``pid``, the ``groupby("pid")`` exchange, and
-one task per partition that extracts, aligns, reassembles and (in the
-checkpointed sink) writes — is built in ``pipelines/checkpoint.py``.
+The plan itself — read, ``pid``, the ``sort("pid")`` exchange into one
+block per CPU, and one task per block that extracts, aligns, reassembles
+and (in the checkpointed sink) writes each of its partitions — is built
+in ``pipelines/checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,17 @@ from ..schema import cluster_cpus
 
 def read_corpus(path: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=columns)
+
+
+def range_boundaries(num_keys: int, num_ranges: int) -> list[int]:
+    """The interior ``Dataset.sort`` boundaries that cut ``[0, num_keys)``
+    into ``min(num_keys, num_ranges)`` contiguous key ranges of
+    near-equal width (``[]`` for one range), one output block — so one
+    task of the next ``map_batches(batch_size=None)`` — per range.  Every
+    row of one key lands in one block, in key order; a block may be empty
+    (zero rows, possibly no columns) or hold several keys."""
+    ranges = max(1, min(num_keys, num_ranges))
+    return [k * num_keys // ranges for k in range(1, ranges)]
 
 
 class NonUniqueRefError(ValueError):
@@ -34,7 +49,6 @@ class MissingInputError(ValueError):
 def join_refs(
     inputs: ray.data.Dataset,
     refs: ray.data.Dataset,
-    num_partitions: int | None = None,
     missing: str = "skip",
     on_duplicate: str = "raise",
 ) -> ray.data.Dataset:
@@ -44,13 +58,14 @@ def join_refs(
 
     ``Dataset.join`` delegates to Acero, which rejects list<struct>
     payload columns, so this is the portable co-group hash join: tag each
-    side, union, and merge on a COARSE shard key (``crc32(doc_id) %
-    (cpus*4)``), one ``map_groups`` task per shard — never one Ray group
-    per document (a per-doc_id groupby costs per-group dispatch, measured
-    5.7 s of a 6 s stage at 80k groups; the shard form is the same
-    refactor the LSH bucket stage got in round 3).  Inside a shard the
-    merge is vectorized: numpy validity masks pick each side's rows and
-    ``Table.take`` re-aligns the list<struct> payloads zero-copy — no
+    side with a COARSE shard key (``crc32(doc_id) % max(32, cpus*4)``),
+    union, and sort on it into one shard range per CPU, one
+    ``merge_shard`` task per range — never one Ray group per document
+    (a per-doc_id groupby costs per-group dispatch, measured 5.7 s of a
+    6 s stage at 80k groups).
+    Both sides of a doc_id share its shard, so a range merges as one
+    unit.  The merge is vectorized: numpy validity masks pick each side's
+    rows and ``Table.take`` re-aligns the list<struct> payloads — no
     per-cell ``.as_py()``.
 
     Cardinality is ENFORCED, mirroring the reference:
@@ -63,7 +78,7 @@ def join_refs(
       side (``OCRD_MISSING_INPUT=SKIP``); ``'abort'`` raises
       :class:`MissingInputError` (``OCRD_MISSING_INPUT=ABORT``).
 
-    The checks run inside the merge group, so enforcement is distributed
+    The checks run inside the merge task, so enforcement is distributed
     and surfaces on consumption as a task error wrapping the typed
     exception.
     """
@@ -78,8 +93,7 @@ def join_refs(
         raise ValueError(
             f"on_duplicate must be 'raise' or 'last', got {on_duplicate!r}")
 
-    cpus = cluster_cpus()
-    nshards = max(32, cpus * 4)
+    nshards = max(32, cluster_cpus() * 4)
 
     # ONE explicit tagged schema for both sides: list<struct> field names
     # differ between a parquet-read column ("element") and pa.nulls
@@ -159,11 +173,9 @@ def join_refs(
     tagged = inputs.map_batches(tag_input, batch_format="pyarrow").union(
         refs.map_batches(tag_ref, batch_format="pyarrow")
     )
-    # map_groups parallelism is bounded by the shuffle's num_partitions,
-    # not the shard-key cardinality — default to one partition per cpu
-    # (each holds ~4 shard keys) so the merge uses the whole cluster;
-    # an explicit value is honored unchanged
-    resolved = num_partitions if num_partitions else min(nshards, max(16, cpus))
-    return tagged.groupby(
-        "shard", num_partitions=resolved
-    ).map_groups(merge_shard, batch_format="pyarrow")
+    # fixed boundaries, so Ray runs no boundary-sampling pass; an empty
+    # list would make it sample, so one range sorts below nshards, with
+    # an empty block above it
+    ranges = range_boundaries(nshards, cluster_cpus()) or [nshards]
+    return tagged.sort("shard", boundaries=ranges).map_batches(
+        merge_shard, batch_size=None, batch_format="pyarrow")

@@ -118,15 +118,17 @@ class EngineConfig:
     # salted into contiguous (doc_id, salt) chunks before alignment and
     # re-merged by offset afterwards (north rule; SURVEY §4.2).  This
     # bounds the size of each alignment call; all chunks of a document
-    # are still aligned in its partition's task, on one CPU
+    # are still aligned in one range task, on one CPU
     salt_threshold: int = 256
-    # documents per slice: the partition task extracts, aligns and
+    # documents per slice: the range task extracts, aligns and
     # reassembles this many documents at a time (and the sink writes
     # each slice as it is done); also the batch size of the map before
     # the exchange
     extract_batch_size: int = 64
-    # output partitioning AND the width of the input exchange:
-    # partition_id = crc32(doc_id) % num_partitions.
+    # output partitioning: partition_id = crc32(doc_id) % num_partitions.
+    # The input exchange is narrower: it sorts the pids into one block per
+    # CPU (the first always empty, the others contiguous pid ranges), one
+    # task per block.
     # None (the default) = derive from the cluster at run time,
     # max(32, CPUs) — a fixed 32 starves the sink at 4N nodes (round-3
     # verdict item 6).  The checkpointed sink PINS the resolved value in

@@ -4,14 +4,17 @@ Stage layout (SURVEY §3.4 / §7.2):
 
 | stage          | runs in                                      | unit                    |
 |----------------|----------------------------------------------|-------------------------|
-| extract + salt | the partition's ``map_groups`` task          | document -> chunk rows  |
+| extract + salt | the pid range's ``map_batches`` task         | document -> chunk rows  |
 | align          | the same task (``AlignChunks``, in process)  | chunk                   |
 | reassemble     | the same task (``reassemble_group``)         | chunks -> document rows |
 
 ``pid = crc32(doc_id) % P`` is computed once at the read, and the one
-exchange, ``groupby("pid")``, moves the input rows before any stage runs
-(``pipelines/checkpoint.py``).  Each partition's task then runs the three
-stages over slices of ``extract_batch_size`` documents.
+exchange, ``sort("pid")`` into one block per CPU (an empty first block,
+then CPUs - 1 contiguous pid ranges), moves the input rows before any
+stage runs (``pipelines/checkpoint.py``).  Each range's task then takes
+its partitions in pid order and runs the three stages over slices of
+``extract_batch_size`` documents of one partition.  One document's
+chunks still run in one task.
 
 All stages are Arrow-in / Arrow-out.
 """

@@ -4,7 +4,7 @@
 ``document.align_chunk`` — the function the serial oracle uses, which is
 what guarantees fixture parity — after ONE batched similarity pass over
 all of the batch's chunks.  The extraction plan calls it inside each
-partition's task, once per slice of documents
+pid range's task, once per slice of one partition's documents
 (``pipelines/checkpoint.py::_partition_slices``); there is no separate
 aligner operator or actor pool.  Its only state is the compiled regex
 program, which ``make_preprocessor`` caches per process, and Ray reuses

@@ -7,7 +7,7 @@ handling; SURVEY §4.2) so no single alignment call exceeds the bound
 (the reference holds a whole page in RAM instead, its
 ``nmalign/lib/align.py:60-61``).  Salting bounds the size
 of each kernel call; it does not spread one giant document across CPUs,
-because all of a document's chunks are aligned in its partition's task.
+because all of a document's chunks are aligned in one range task.
 
 The per-document work (DOM parsing, layout re-sort) is inherently
 row-wise; the engine's vectorization budget is spent where it matters —

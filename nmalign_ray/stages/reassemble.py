@@ -1,8 +1,8 @@
 """Reassembly stage: merge aligned chunks back into documents by offset.
 
-Each partition's task (``pipelines/checkpoint.py``) extracts and aligns
-its documents slice by slice, and every chunk of a document lands in its
-document's slice — so salted chunk outputs and media markers meet here,
+Each pid range's task (``pipelines/checkpoint.py``) extracts and aligns
+each partition's documents slice by slice, and every chunk of a document
+lands in its document's slice — so salted chunk outputs and media markers meet here,
 are merged and sorted by ``offset`` (the per-slice sort replaces a global
 ``Dataset.sort``, SURVEY §4.2), and the reference's global-stats
 reduction (``mp.Manager`` dict,

@@ -183,10 +183,9 @@ ray.shutdown()
                 env=env, capture_output=True, text=True, check=True,
                 timeout=240)
 
-        # 4 and 8 cpus: the 2-actor aligner pool RESERVES its CPUs, so a
-        # 2-cpu cluster leaves zero for read/shuffle tasks and the
-        # streaming executor starves (observed: init fine, pipeline hangs)
-        run(4)
+        # started on 2 cpus and resumed on 4: the exchange's width (one
+        # pid range per cpu) changes with the cluster, P does not
+        run(2)
         full = spans_key(read_output(str(out)))
         pinned = json.load(
             open(os.path.join(out, "_manifest", "meta.json")))
@@ -194,7 +193,7 @@ ray.shutdown()
         for pid in victims:
             shutil.rmtree(os.path.join(out, f"part={pid}"))
             os.remove(os.path.join(out, "_manifest", f"part-{pid}.json"))
-        run(4)  # resume on a "bigger cluster"
+        run(4)  # resume on a bigger cluster
         assert json.load(
             open(os.path.join(out, "_manifest", "meta.json"))) == pinned
         assert spans_key(read_output(str(out))) == full
@@ -293,3 +292,101 @@ print("job returned")
         want = oracle_table(corpus, cfg.align, salt_threshold=cfg.salt_threshold)
         got = read_output(out).cast(OUTPUT_SCHEMA)
         assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))
+
+
+class TestRangeExchange:
+    def test_single_block_runs_one_task_per_cpu(self, ray_session, tmp_path):
+        # four documents read as ONE block still spread over min(P, CPUs)
+        # range tasks: the plan, not the input's block layout, sets the
+        # width of the exchange
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines import build_extract_pipeline
+        from nmalign_ray.schema import OUTPUT_SCHEMA, cluster_cpus
+
+        corpus = generate_corpus(num_docs=4, seed=3)
+        cfg = EngineConfig(num_partitions=8)
+        ds = ray_session.data.from_arrow(corpus)
+        assert ds.num_blocks() == 1
+        out = str(tmp_path / "out")
+        job = run_checkpointed(ds, out, cfg, collect_stats=True)
+        # one block, so one task, per CPU: the first block (pids below 0)
+        # is empty, the others split [0, 8)
+        tasks = min(8, cluster_cpus())
+        assert f"MapBatches(_write_partition): {tasks} tasks executed" in job["stats"]
+        pids = {doc_partition(d, 8) for d in corpus["doc_id"].to_pylist()}
+        assert completed_partitions(out) == pids
+        assert sorted(os.listdir(os.path.join(out, "_manifest"))) == sorted(
+            [f"part-{pid}.json" for pid in pids] + ["meta.json"])
+
+        want = oracle_table(corpus, cfg.align, salt_threshold=cfg.salt_threshold)
+        lazy = build_extract_pipeline(ds, cfg)
+        lazy = pa.concat_tables(
+            [t for t in map(ray_session.get, lazy.to_arrow_refs()) if t.num_rows])
+        for got in (read_output(out), lazy):
+            assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(
+                want.sort_by("doc_id"))
+
+
+class TestRangeTask:
+    """The per-range functions, called directly (no Ray)."""
+
+    def test_empty_block(self, tmp_path):
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines.checkpoint import (
+            _extract_partition, _write_partition)
+        from nmalign_ray.schema import OUTPUT_SCHEMA
+
+        cfg = EngineConfig(num_partitions=8)
+        # the exchange emits empty ranges as zero-row, column-less blocks
+        empty = pa.table({})
+        summary = _write_partition(empty, str(tmp_path), cfg)
+        assert summary.num_rows == 0
+        assert summary.schema.names == [
+            "pid", "num_docs", "matched", "total", "unmatched_ref_count"]
+        assert not os.listdir(tmp_path)
+        assert [t.equals(OUTPUT_SCHEMA.empty_table())
+                for t in _extract_partition(empty, cfg)] == [True]
+
+    def test_block_of_three_pids(self, tmp_path):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from nmalign_ray.pipelines.checkpoint import (
+            _add_pid, _extract_partition, _write_partition)
+        from nmalign_ray.schema import OUTPUT_SCHEMA
+
+        cfg = EngineConfig(salt_threshold=64, num_partitions=8)
+        rows = _add_pid(generate_corpus(num_docs=12, seed=42), 8).sort_by("pid")
+        three = sorted(set(rows["pid"].to_pylist()))[:3]
+        block = rows.filter(pc.is_in(rows["pid"], pa.array(three, pa.int32())))
+        out = str(tmp_path / "out")
+
+        summary = _write_partition(block, out, cfg)
+        assert summary["pid"].to_pylist() == three
+        assert summary["num_docs"].to_pylist() == [
+            block["pid"].to_pylist().count(pid) for pid in three]
+        assert completed_partitions(out) == set(three)
+        assert sorted(os.listdir(out)) == sorted(
+            ["_manifest", "_tmp"] + [f"part={pid}" for pid in three])
+
+        want = oracle_table(block.drop(["pid"]), cfg.align,
+                            salt_threshold=cfg.salt_threshold).sort_by("doc_id")
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+        lazy = pa.concat_tables(_extract_partition(block, cfg))
+        assert lazy.sort_by("doc_id").equals(want)
+
+        # a retried range keeps the partitions its failed attempt committed
+        data = [os.path.join(out, f"part={pid}", "data.parquet") for pid in three]
+        before = [os.stat(path).st_mtime_ns for path in data]
+        os.remove(os.path.join(out, "_manifest", f"part-{three[2]}.json"))
+        assert _write_partition(block, out, cfg).equals(summary)
+        after = [os.stat(path).st_mtime_ns for path in data]
+        assert after[:2] == before[:2] and after[2] != before[2]
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+
+        # a pid split over two runs would overwrite its own partition
+        reversed_block = block.take(pa.array(range(block.num_rows - 1, -1, -1)))
+        with pytest.raises(ValueError, match="not sorted by pid"):
+            _write_partition(reversed_block, out, cfg)

@@ -107,18 +107,32 @@ class TestTwoTableJoin:
     def test_join_refs_equivalent(self, ray_session, corpus, config, golden):
         inputs = ray_session.data.from_arrow(corpus.select(["doc_id", "spans"]))
         refs = ray_session.data.from_arrow(corpus.select(["doc_id", "ref_spans"]))
-        joined = join_refs(inputs, refs, num_partitions=4)
+        joined = join_refs(inputs, refs)
         out = build_extract_pipeline(joined, config)
         tbl = pa.concat_tables(
             [t for t in map(ray_session.get, out.to_arrow_refs())
              if t.num_rows])
         assert spans_key(tbl) == spans_key(golden)
 
+    def test_join_refs_runs_one_task_per_range(
+        self, ray_session, corpus, config, golden
+    ):
+        # one shard range, so one merge task, per cluster CPU
+        from nmalign_ray.schema import cluster_cpus
+
+        inputs = ray_session.data.from_arrow(corpus.select(["doc_id", "spans"]))
+        refs = ray_session.data.from_arrow(corpus.select(["doc_id", "ref_spans"]))
+        joined = join_refs(inputs, refs).materialize()
+        assert f"MapBatches(merge_shard): {cluster_cpus()} tasks executed" in joined.stats()
+        out = collect_pipeline(ray_session, joined, config)
+        assert out.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(
+            golden.sort_by("doc_id"))
+
     def test_join_drops_missing_refs(self, ray_session, corpus, config):
         inputs = ray_session.data.from_arrow(corpus.select(["doc_id", "spans"]))
         refs_tbl = corpus.select(["doc_id", "ref_spans"]).slice(0, 10)
         refs = ray_session.data.from_arrow(refs_tbl)
-        joined = join_refs(inputs, refs, num_partitions=4)
+        joined = join_refs(inputs, refs)
         out = build_extract_pipeline(joined, config)
         assert out.count() == 10
 
@@ -190,7 +204,7 @@ class TestJoinEdges:
         inputs_tbl = corpus.select(["doc_id", "spans"]).slice(0, 8)
         inputs = ray_session.data.from_arrow(inputs_tbl)
         refs = ray_session.data.from_arrow(corpus.select(["doc_id", "ref_spans"]))
-        joined = join_refs(inputs, refs, num_partitions=4)
+        joined = join_refs(inputs, refs)
         assert joined.count() == 8
 
 
@@ -203,7 +217,7 @@ class TestJoinCardinality:
         refs_tbl = corpus.select(["doc_id", "ref_spans"])
         dup = pa.concat_tables([refs_tbl, refs_tbl.slice(0, 1)])
         refs = ray_session.data.from_arrow(dup)
-        joined = join_refs(inputs, refs, num_partitions=4)
+        joined = join_refs(inputs, refs)
         with pytest.raises(Exception) as exc:
             joined.count()
         assert "NonUniqueRefError" in str(exc.value) or isinstance(
@@ -214,7 +228,7 @@ class TestJoinCardinality:
         refs_tbl = corpus.select(["doc_id", "ref_spans"])
         dup = pa.concat_tables([refs_tbl, refs_tbl.slice(0, 1)])
         refs = ray_session.data.from_arrow(dup)
-        joined = join_refs(inputs, refs, num_partitions=4, on_duplicate="last")
+        joined = join_refs(inputs, refs, on_duplicate="last")
         assert joined.count() == corpus.num_rows
 
     def test_missing_abort_raises(self, ray_session, corpus):
@@ -224,7 +238,7 @@ class TestJoinCardinality:
         inputs = ray_session.data.from_arrow(corpus.select(["doc_id", "spans"]))
         refs = ray_session.data.from_arrow(
             corpus.select(["doc_id", "ref_spans"]).slice(0, 10))
-        joined = join_refs(inputs, refs, num_partitions=4, missing="abort")
+        joined = join_refs(inputs, refs, missing="abort")
         with pytest.raises(Exception) as exc:
             joined.count()
         assert "MissingInputError" in str(exc.value) or isinstance(
