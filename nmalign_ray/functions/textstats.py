@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -1038,6 +1039,31 @@ FROM s
 """
 
 
+# a token of the SQL twins' regexp_split_to_array(..., '\s+'): RE2's \s is
+# [\t\n\f\r ], narrower than str.split(), which also splits on \v, \xa0,
+# \x1c-\x1f, \x85 and the Unicode spaces
+_RE2_TOKEN = re.compile(r"[^\t\n\f\r ]+")
+
+
+def _hll_registers(texts) -> dict[int, int]:
+    """The HLL registers (bucket -> rho) of the distinct tokens of
+    ``texts``, split and lowered as the SQL twins do.  Tokens are unioned
+    BEFORE hashing (the kmv_distinct pattern): registers merge by max, so
+    one md5 per distinct token gives identical output to per-doc hashing."""
+    toks: set[str] = set()
+    for text in texts:
+        toks.update(_RE2_TOKEN.findall(text.lower()))
+    shift = 64 - HLL_P
+    regs: dict[int, int] = {}
+    for tok in toks:
+        hv = int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
+        w = hv & _HLL_LOW
+        rho = shift + 1 if w == 0 else shift + 1 - w.bit_length()
+        if rho > regs.get(hv >> shift, 0):
+            regs[hv >> shift] = rho
+    return regs
+
+
 def _hll_estimate(regs: dict[int, int]) -> float:
     """The SQL twin's estimator expression, operation for operation."""
     m = float(HLL_M)
@@ -1063,26 +1089,8 @@ def hll_distinct(ds: ray.data.Dataset) -> ray.data.Dataset:
     collects at most m rows to fold the estimate."""
     from ray.data.aggregate import Max
 
-    shift = 64 - HLL_P
-
     def partial(batch: pa.Table) -> pa.Table:
-        # union tokens across the whole batch BEFORE hashing (the
-        # kmv_distinct pattern): registers merge by max, so one md5 per
-        # batch-distinct token gives identical output to per-doc hashing
-        toks: set[str] = set()
-        for text in batch["text"].to_pylist():
-            t = text.strip()
-            if t:
-                toks.update(t.lower().split())
-        regs: dict[int, int] = {}
-        for tok in toks:
-            hv = int.from_bytes(
-                hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
-            b = hv >> shift
-            w = hv & _HLL_LOW
-            rho = shift + 1 if w == 0 else shift + 1 - w.bit_length()
-            if rho > regs.get(b, 0):
-                regs[b] = rho
+        regs = _hll_registers(batch["text"].to_pylist())
         return pa.Table.from_pydict(
             {"bucket": pa.array(list(regs.keys()), pa.int64()),
              "rho": pa.array(list(regs.values()), pa.int64())})
@@ -2548,26 +2556,14 @@ def source_hll(ds: ray.data.Dataset) -> ray.data.Dataset:
     groups x m collect."""
     from ray.data.aggregate import Max
 
-    shift = 64 - HLL_P
-
     def partial(batch: pa.Table) -> pa.Table:
-        by_src: dict[str, set] = {}
+        by_src: dict[str, list] = {}
         for src, text in zip(batch["source"].to_pylist(),
                              batch["text"].to_pylist()):
-            t = text.strip()
-            if t:
-                by_src.setdefault(src, set()).update(t.lower().split())
+            by_src.setdefault(src, []).append(text)
         srcs, buckets, rhos = [], [], []
-        for src, toks in by_src.items():
-            regs: dict[int, int] = {}
-            for tok in toks:
-                hv = int.from_bytes(
-                    hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
-                b = hv >> shift
-                w = hv & _HLL_LOW
-                rho = shift + 1 if w == 0 else shift + 1 - w.bit_length()
-                if rho > regs.get(b, 0):
-                    regs[b] = rho
+        for src, texts in by_src.items():
+            regs = _hll_registers(texts)
             srcs.extend([src] * len(regs))
             buckets.extend(regs.keys())
             rhos.extend(regs.values())

@@ -6,8 +6,8 @@ the input rows; everything after it runs inside one task per pid range::
     read corpus                                  [doc_id, spans, ref_spans]
       -> map_batches(_add_pid)                   pid = crc32(doc_id) % P, once
       -> map_batches(_filter_completed)          resume: drop finished pids
-      -> sort("pid", boundaries)                 one block per CPU: an empty
-                                                 one, then CPUs - 1 pid ranges
+      -> sort("pid", boundaries)                 one block per CPU: [0, P) in
+                                                 min(P, CPUs) pid ranges
       -> map_batches(per-range function), per partition of the range in
          pid order, per slice of ``extract_batch_size`` documents in
          doc_id order:
@@ -25,15 +25,22 @@ The exchange moves the input rows rather than the aligned chunks, so a
 partition is committed as soon as it is done, not after every document of
 the round has been aligned.  The heavy work runs in plain Ray tasks, which
 reuse the session's workers from round to round.  The exchange's width is
-chosen by the plan (:func:`_exchange`): fixed boundaries cut the rows into
-one block per CPU, whatever the input's block layout (a sort-based
-``groupby`` made one reducer per input block, so ``giant``'s four
-documents, merged into one block by the pid map, ran in one task).
-Measured on 4 vCPU (``perfbench/run.py --seconds 14 --trace 0``, medians
-of 18 runs alternating with the ``groupby`` plan): ``giant`` 3.46 -> 5.25
-docs/s; ``mix`` 805 -> 1022 docs/s and 6.00 -> 4.81 s CPU a round; set-up
-about 15% longer, because the first execution in a session runs several
-tasks at once and Ray starts worker processes for them.  Salting bounds
+chosen by the plan (:func:`_exchange`): fixed boundaries cut ``[0, P)``
+into one pid range per CPU, whatever the input's block layout.
+
+The plan executes without Ray Data's per-operator resource reservation
+(``op_resource_reservation_enabled`` off on the executed Dataset's
+context, never on the global one).  With it, Ray Data 2.49 reserves at
+least one CPU for each operator (read, pid map, sort, range map), which
+leaves no shared CPU on 4 CPUs: an operator ran one task at a time until
+the operators above it finished, and its 2 x 128 MiB estimate of a
+task's output, used until the first output, held the first range task
+alone on a small object store (an always-empty first block worked around
+that, and left one CPU idle).  Measured on 4 vCPU (``perfbench/run.py
+--seconds 14 --trace 0``, 10 pairs alternating with the reserving plan):
+``mix`` 1191 -> 1532 docs/s; ``giant`` 6.67 -> 6.66 docs/s; set-up +4%
+and +14%, as the first execution in a session now starts a worker process
+for its fourth range task.  Salting bounds
 the size of each alignment call; it does not spread one giant document
 across CPUs: its chunks stay in one range task, and a range holds whole
 partitions, so heavy pids that share a range run one after another.
@@ -75,11 +82,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from ..schema import EngineConfig, OUTPUT_SCHEMA, cluster_cpus, crc32_shard, crc32_shards
+from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard, crc32_shards
 from ..stages import extract_stage
 from ..stages.aligner import AlignChunks
 from ..stages.reassemble import reassemble_group
-from .extract import range_boundaries
+from .extract import sort_into_ranges
 
 
 def doc_partition(doc_id: str, num_partitions: int) -> int:
@@ -241,22 +248,9 @@ def _write_partition(block: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Tab
 
 
 def _exchange(rows: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
-    """Sort the rows on ``pid`` into one output block per cluster CPU
-    (``min(P + 1, CPUs)`` blocks, at least two), so one task per block
-    of the next map.
-
-    The first block holds the pids below 0 and is always empty: its task
-    returns at once.  Until one of its tasks has returned output, Ray
-    Data 2.49 reserves ``2 x target_max_block_size`` (256 MiB) of object
-    store per task of an operator, so on a store of up to about 2 GiB
-    (4 CPUs) one range task ran alone while the others waited for it
-    (the second ``mix`` round of a ``perfbench`` session on 4 vCPU, whose
-    store is 512 MiB: 3.1 s without the empty block, 1.3 s with it; with
-    a 4 GiB store, 1.30 and 1.37 s).  The empty task holds its CPU slot
-    until the executor's next 0.1 s poll, so the other blocks cut
-    ``[0, P)`` into CPUs - 1 ranges and every range task starts at once."""
-    ranges = max(1, cluster_cpus() - 1)
-    return rows.sort("pid", boundaries=[0, *range_boundaries(num_partitions, ranges)])
+    """Sort the rows on ``pid`` into ``min(P, CPUs)`` pid ranges, one
+    output block, so one task of the next map, per range."""
+    return sort_into_ranges(rows, "pid", num_partitions)
 
 
 def _plan(corpus: ray.data.Dataset, cfg: EngineConfig, num_partitions: int,
@@ -277,9 +271,15 @@ def build_extract_pipeline(
     """Compose the extraction pipeline over a corpus Dataset
     (``doc_id, spans, ref_spans``); returns the lazy ``OUTPUT_SCHEMA``
     Dataset, one row per document.  Consume it with ``write_parquet`` /
-    ``iter_batches`` / an aggregate, not ``take_all``."""
+    ``iter_batches`` / an aggregate, not ``take_all``.
+
+    The Dataset runs without Ray Data's per-operator resource reservation
+    (module docstring); so do ``ds`` and its other descendants, which
+    share its context, from then on."""
     cfg = config if config is not None else EngineConfig()
-    return _plan(ds, cfg, cfg.resolved_partitions(), partial(_extract_partition, cfg=cfg))
+    out = _plan(ds, cfg, cfg.resolved_partitions(), partial(_extract_partition, cfg=cfg))
+    out.context.op_resource_reservation_enabled = False
+    return out
 
 
 def run_checkpointed(
@@ -298,7 +298,13 @@ def run_checkpointed(
     done = frozenset(completed_partitions(out_dir))
     result_ds = _plan(corpus, cfg, num_partitions,
                       partial(_write_partition, out_dir=out_dir, cfg=cfg), done)
-    summary = result_ds.to_pandas()
+    context = result_ds.context  # shared along ``corpus``'s lineage
+    reserved = context.op_resource_reservation_enabled
+    context.op_resource_reservation_enabled = False
+    try:
+        summary = result_ds.to_pandas()
+    finally:
+        context.op_resource_reservation_enabled = reserved
     out = {
         "partitions_written": int(summary.shape[0]),
         "partitions_skipped": len(done),

@@ -1,8 +1,7 @@
 """Building blocks of the extraction plan's input side.
 
-* :func:`range_boundaries` — the boundaries of the plan's and the pair
-  join's exchange: a sort on an integer key into a fixed number of
-  contiguous key ranges;
+* :func:`sort_into_ranges` — the plan's and the pair join's exchange: a
+  sort on an integer key into one contiguous key range per CPU;
 * :func:`join_refs` — the two-table form's pair join on ``doc_id``;
 * :func:`read_corpus`.
 
@@ -23,15 +22,17 @@ def read_corpus(path: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=columns)
 
 
-def range_boundaries(num_keys: int, num_ranges: int) -> list[int]:
-    """The interior ``Dataset.sort`` boundaries that cut ``[0, num_keys)``
-    into ``min(num_keys, num_ranges)`` contiguous key ranges of
-    near-equal width (``[]`` for one range), one output block — so one
-    task of the next ``map_batches(batch_size=None)`` — per range.  Every
-    row of one key lands in one block, in key order; a block may be empty
-    (zero rows, possibly no columns) or hold several keys."""
-    ranges = max(1, min(num_keys, num_ranges))
-    return [k * num_keys // ranges for k in range(1, ranges)]
+def sort_into_ranges(ds: ray.data.Dataset, key: str, num_keys: int) -> ray.data.Dataset:
+    """Sort ``ds`` on the integer column ``key`` (values in ``[0, num_keys)``)
+    into ``min(num_keys, CPUs)`` contiguous key ranges of near-equal width,
+    one output block — so one task of the next ``map_batches(batch_size=None)``
+    — per range, in key order; a block may hold several keys, or none (zero
+    rows, possibly no columns).  The boundaries are fixed, so Ray runs no
+    boundary-sampling pass; an empty list would make it sample, so a single
+    range sorts below ``num_keys``, with an empty block above it."""
+    ranges = max(1, min(num_keys, cluster_cpus()))
+    boundaries = [k * num_keys // ranges for k in range(1, ranges)]
+    return ds.sort(key, boundaries=boundaries or [num_keys])
 
 
 class NonUniqueRefError(ValueError):
@@ -173,9 +174,5 @@ def join_refs(
     tagged = inputs.map_batches(tag_input, batch_format="pyarrow").union(
         refs.map_batches(tag_ref, batch_format="pyarrow")
     )
-    # fixed boundaries, so Ray runs no boundary-sampling pass; an empty
-    # list would make it sample, so one range sorts below nshards, with
-    # an empty block above it
-    ranges = range_boundaries(nshards, cluster_cpus()) or [nshards]
-    return tagged.sort("shard", boundaries=ranges).map_batches(
+    return sort_into_ranges(tagged, "shard", nshards).map_batches(
         merge_shard, batch_size=None, batch_format="pyarrow")

@@ -127,8 +127,7 @@ class EngineConfig:
     extract_batch_size: int = 64
     # output partitioning: partition_id = crc32(doc_id) % num_partitions.
     # The input exchange is narrower: it sorts the pids into one block per
-    # CPU (the first always empty, the others contiguous pid ranges), one
-    # task per block.
+    # CPU (min(P, CPUs) contiguous pid ranges), one task per block.
     # None (the default) = derive from the cluster at run time,
     # max(32, CPUs) — a fixed 32 starves the sink at 4N nodes (round-3
     # verdict item 6).  The checkpointed sink PINS the resolved value in

@@ -9,8 +9,8 @@ Stage layout (SURVEY §3.4 / §7.2):
 | reassemble     | the same task (``reassemble_group``)         | chunks -> document rows |
 
 ``pid = crc32(doc_id) % P`` is computed once at the read, and the one
-exchange, ``sort("pid")`` into one block per CPU (an empty first block,
-then CPUs - 1 contiguous pid ranges), moves the input rows before any
+exchange, ``sort("pid")`` into one block per CPU (``[0, P)`` in
+``min(P, CPUs)`` contiguous pid ranges), moves the input rows before any
 stage runs (``pipelines/checkpoint.py``).  Each range's task then takes
 its partitions in pid order and runs the three stages over slices of
 ``extract_batch_size`` documents of one partition.  One document's

@@ -310,8 +310,7 @@ class TestRangeExchange:
         assert ds.num_blocks() == 1
         out = str(tmp_path / "out")
         job = run_checkpointed(ds, out, cfg, collect_stats=True)
-        # one block, so one task, per CPU: the first block (pids below 0)
-        # is empty, the others split [0, 8)
+        # one block, so one task, per CPU: min(P, CPUs) ranges split [0, 8)
         tasks = min(8, cluster_cpus())
         assert f"MapBatches(_write_partition): {tasks} tasks executed" in job["stats"]
         pids = {doc_partition(d, 8) for d in corpus["doc_id"].to_pylist()}
@@ -326,6 +325,41 @@ class TestRangeExchange:
         for got in (read_output(out), lazy):
             assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(
                 want.sort_by("doc_id"))
+
+
+    @pytest.mark.parametrize("num_partitions", [2, 32])
+    def test_every_block_holds_a_range(self, ray_session, num_partitions):
+        # rows in every pid: the exchange cuts [0, P) into exactly
+        # min(P, CPUs) blocks, in pid order, and leaves none empty
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines.checkpoint import _exchange
+        from nmalign_ray.schema import cluster_cpus
+
+        rows = ray_session.data.from_arrow(
+            pa.table({"pid": pa.array(range(num_partitions), pa.int32())}))
+        blocks = [ray_session.get(ref) for ref in
+                  _exchange(rows, num_partitions).to_arrow_refs()]
+        assert len(blocks) == min(num_partitions, cluster_cpus())
+        assert all(block.num_rows for block in blocks)
+        assert [pid for block in blocks for pid in block["pid"].to_pylist()] == list(
+            range(num_partitions))
+
+    def test_run_restores_the_context(self, ray_session, corpus, config, tmp_path):
+        # the plan runs without Ray Data's per-operator reservation, but
+        # the corpus shares its context along its lineage: the run must
+        # hand it back as it found it, and never touch the global one
+        from ray.data import DataContext
+
+        ds = ray_session.data.from_arrow(corpus)
+
+        def reservation():
+            return (DataContext.get_current().op_resource_reservation_enabled,
+                    ds.context.op_resource_reservation_enabled)
+
+        before = reservation()
+        run_checkpointed(ds, str(tmp_path / "out"), config)
+        assert reservation() == before
 
 
 class TestRangeTask:

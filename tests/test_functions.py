@@ -2372,3 +2372,38 @@ class TestHllWhitespacePadding:
                 row = out[out["source"] == src].iloc[0]
                 assert row["n_buckets_set"] == len(regs)
                 assert row["estimate_distinct"] == ts._hll_estimate(regs)
+
+
+class TestHllTokenizing(TestHllWhitespacePadding):
+    """The Python partials split where the SQL twins' RE2 ``\\s``
+    (``[\\t\\n\\f\\r ]``) does: a vertical tab or a no-break space is part
+    of a token, as in SQL, not a separator, as in ``str.split()``."""
+
+    TEXTS = ["alpha\x0bbeta", "gamma\xa0delta", "\talpha\x0bbeta\n",
+             "\n\x0b\t", "epsilon\x0c zeta\r\n"]
+    SOURCES = ["a", "b", "a", "b", "a"]
+    # alpha\x0bbeta, gamma\xa0delta, \x0b, epsilon, zeta
+    DISTINCT = 5
+
+    def test_hll_distinct_twins_agree(self, ray_session):
+        from nmalign_ray.functions import textstats as ts
+
+        py = ts.hll_distinct(ray_session.data.from_arrow(
+            docs_table(self.TEXTS))).to_pandas()
+        sql = self._sql(ts.HLL_DISTINCT_SQL)
+        cols = ["n_buckets_set", "max_rho", "estimate_distinct"]
+        assert py[cols].equals(sql[cols])
+        assert abs(py.loc[0, "estimate_distinct"] - self.DISTINCT) < 0.01
+
+    def test_source_hll_twins_agree(self, ray_session):
+        from nmalign_ray.functions import textstats as ts
+
+        py = ts.source_hll(ray_session.data.from_arrow(
+            TestSourceHll()._tbl(self.TEXTS, self.SOURCES))).to_pandas()
+        sql = self._sql(ts.SOURCE_HLL_SQL)
+        cols = ["source", "n_buckets_set", "max_rho", "estimate_distinct"]
+        py, sql = (out[cols].sort_values("source").reset_index(drop=True)
+                   for out in (py, sql))
+        assert py.equals(sql)
+        # a: alpha\x0bbeta, epsilon, zeta; b: gamma\xa0delta, \x0b
+        assert [round(e) for e in py["estimate_distinct"]] == [3, 2]
