@@ -13,8 +13,9 @@ reference (``/root/reference/nmalign/lib/align.py:17-243``):
   splits (``align.py:147-153``).
 
 Everything here is a pure function of its inputs — no Ray, no I/O — so it
-serves both as the per-document kernel inside the Ray actor-pool stage
-and as the single-process fixture ORACLE the pipeline is judged against.
+serves both as the per-document kernel that each range task of the Ray
+pipeline calls in process and as the single-process fixture ORACLE the
+pipeline is judged against.
 
 Intentionally dropped surface: the reference's interactive pair-approval
 prompts (``align.py:131-146``) cannot exist in a distributed batch engine;
@@ -45,15 +46,11 @@ PARTIAL_ACC_MIN = 50  # min partial-ratio during subsegmentation
 
 @dataclass(frozen=True)
 class AlignConfig:
-    """Engine-level alignment configuration (plumbed into the aligner actors)."""
+    """Engine-level alignment configuration (passed to every ``match`` call)."""
 
     normalization: dict[str, str] | None = None  # ordered regex -> replacement
     cutoff: float | None = None  # minimum acceptable score
     try_subseg: bool = False  # allow 1:n splits of l2 segments
-    subseg_len_min: int = SUBSEG_LEN_MIN
-    subseg_acc_max: float = SUBSEG_ACC_MAX
-    subseg_acc_min: float = SUBSEG_ACC_MIN
-    partial_acc_min: float = PARTIAL_ACC_MIN
     denylist: frozenset = field(default_factory=frozenset)  # {(i1, i2)} forbidden pairs
 
 
@@ -120,8 +117,8 @@ def match(
                                 processor=preprocess)
     else:
         # precomputed by the batched kernel (levenshtein_cdist_many over a
-        # whole actor batch — bit-identical to the line above); copy so the
-        # denylist writes below never alias the caller's array
+        # whole slice of documents — bit-identical to the line above); copy
+        # so the denylist writes below never alias the caller's array
         sim = np.array(sim, dtype=np.float32, copy=True)
     for i1, i2 in denylist:
         sim[i1, i2] = -np.inf
@@ -157,17 +154,15 @@ def match(
         subseg = []
         if (
             try_subseg
-            and score < config.subseg_acc_max  # not already a very good match
+            and score < SUBSEG_ACC_MAX  # not already a very good match
             and " " in seg2  # multiple words
-            and len(seg2) > config.subseg_len_min  # long enough
-            and len(seg2) - len(seg1) > config.subseg_len_min / 2  # much larger
+            and len(seg2) > SUBSEG_LEN_MIN  # long enough
+            and len(seg2) - len(seg1) > SUBSEG_LEN_MIN / 2  # much larger
         ):
             subseg = match_subseg(
                 l1, seg2, col_scores, col_rows,
                 min_score=max(score, cutoff or 0),
                 processor=preprocess,
-                acc_min=config.subseg_acc_min,
-                partial_min=config.partial_acc_min,
             )
         if subseg:
             alive2[i2] = False
@@ -225,8 +220,6 @@ def match_subseg(
     col_rows: np.ndarray,
     min_score: float = 0,
     processor=None,
-    acc_min: float = SUBSEG_ACC_MIN,
-    partial_min: float = PARTIAL_ACC_MIN,
 ):
     """Search a mutually compatible subsegmentation of ``seg2`` across all
     plausible l1 rows (reference ``match_subseg``, ``align.py:168-243``).
@@ -235,7 +228,7 @@ def match_subseg(
     ``[]`` when no split beats ``min_score``.
     """
     # screen 1: need >= 2 rows whose global score clears the floor
-    ok = col_scores >= acc_min
+    ok = col_scores >= SUBSEG_ACC_MIN
     if np.count_nonzero(ok) < 2:
         return []
     cand_rows = col_rows[ok]
@@ -256,10 +249,10 @@ def match_subseg(
     scores64 = np.array([sa.score for sa in sas], dtype=np.float64)
     # cdist score_cutoff semantics: the cutoff compares the float64 score,
     # the matrix stores float32 (fuzzy/partial.py::partial_ratio_cdist)
-    pr = np.where(scores64 >= partial_min, scores64, 0.0).astype(
+    pr = np.where(scores64 >= PARTIAL_ACC_MIN, scores64, 0.0).astype(
         np.float32
     ).reshape(-1, 1)
-    if np.count_nonzero(pr >= partial_min) < 2:
+    if np.count_nonzero(pr >= PARTIAL_ACC_MIN) < 2:
         return []
 
     # gap-prefilled distance matrix over substring boundaries 0..len(seg2):
@@ -274,7 +267,7 @@ def match_subseg(
 
     # exact local alignment for each surviving candidate, inserted as an
     # edge with cost (1 - score/100) * window length (align.py:196-211)
-    for k in np.nonzero(pr[:, 0] >= partial_min)[0]:
+    for k in np.nonzero(pr[:, 0] >= PARTIAL_ACC_MIN)[0]:
         row = int(cand_rows[k])
         sa = sas[int(k)]
         # clamp both ends to the RAW segment length (align.py:208 clamps

@@ -521,14 +521,14 @@ def corpus_from_documents(texts, doc_ids, seed: int = 42,
     The default mix is DETERMINISTIC_FAMILIES (rng-free, SQL-replayable);
     rng families (noised/merged/html/pdf/permuted/media) remain available
     by passing them explicitly."""
-    import zlib
+    from .hashing import crc32_u32
 
     out_ids, all_spans, all_refs = [], [], []
     for text, did in zip(texts, doc_ids):
         try:
             key = int(did)
         except (TypeError, ValueError):
-            key = zlib.crc32(str(did).encode("utf-8"))
+            key = int(crc32_u32([did])[0])
         rng = np.random.default_rng(seed * 3_000_017 + key)
         # family keyed on doc_id (NOT list position) so generation is
         # invariant to batch boundaries when distributed via map_batches

@@ -4,9 +4,10 @@
 engine: classify/extract spans (the parse cascade), salt-chunk oversized
 documents, force-align candidates against the reference segmentation
 (``align.core.match``), and emit the canonical extracted span sequence
-plus metrics.  The Ray actor stage (``stages/aligner.py``) calls exactly
-this function per document; ``oracle_table`` runs it serially over a
-corpus table to produce golden outputs — fixture parity is therefore by
+plus metrics.  The aligner kernel (``stages/aligner.py``), which each
+range task of the Ray pipeline calls in process, aligns every chunk with
+the same ``align_chunk``; ``oracle_table`` runs ``process_document``
+serially over a corpus table to produce golden outputs — fixture parity is therefore by
 construction, and the contract is pinned by the tests.
 
 Output contract (judged on span-sequence equality of
@@ -72,11 +73,12 @@ def align_chunk(
 ):
     """Align one (salt-)chunk of candidates against its reference window.
 
-    The unit of work of the Ray aligner actor stage; also the inner loop
-    of ``process_document``.  Returns
+    The unit of work of the aligner kernel (``stages/aligner.AlignChunks``,
+    called in process by each range task); also the inner loop of
+    ``process_document``.  Returns
     ``(out_spans, matched, score_sum, unmatched_cands)``.  ``sim`` is an
-    optional precomputed similarity matrix (the aligner stage batches one
-    ``levenshtein_cdist_many`` call across its whole input batch;
+    optional precomputed similarity matrix (the aligner kernel batches one
+    ``levenshtein_cdist_many`` call across a whole slice of chunks;
     bit-identical to the per-chunk computation).
     """
     if not cand_texts or not ref_texts:

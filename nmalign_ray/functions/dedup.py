@@ -28,6 +28,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Min
 
+from ..hashing import blake2b_u64, crc32_mod, md5_hex, md5_u64, md5_u64_sql
 from ..schema import cluster_cpus
 from .textstats import fingerprint_batch, round6
 
@@ -67,10 +68,6 @@ def shingle_set(text: str, k: int = 3) -> set[str]:
     return {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
 
 
-def _hash64(s: str) -> int:
-    return int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")
-
-
 def _perm_params(seed: int = 42):
     # 31-bit multipliers over 32-bit keys: products stay < 2^63, so the
     # mod-p arithmetic below is exact in uint64 (a 61-bit multiplier
@@ -89,8 +86,7 @@ def minhash_signature(shingles: set[str]) -> np.ndarray:
     h_i(x) = (a_i * x + b_i) mod 2^61-1, vectorized across permutations."""
     if not shingles:
         return np.full(NUM_PERM, np.uint64(_MERSENNE), dtype=np.uint64)
-    base = np.fromiter((_hash64(s) >> 32 for s in shingles), dtype=np.uint64,
-                       count=len(shingles))  # 32-bit keys (see _perm_params)
+    base = blake2b_u64(shingles) >> np.uint64(32)  # 32-bit keys (see _perm_params)
     # (P, S) = (a[:,None] * base[None,:] + b[:,None]) mod p, min over S —
     # exact: 31-bit a x 32-bit base < 2^63, + b < 2^64, no wrap before mod
     prod = (
@@ -281,11 +277,7 @@ def _id_shard_col(col, width: int) -> pa.Array:
     if pa.types.is_integer(c.type):
         v = c.to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.array((v % width).astype(np.int32), pa.int32())
-    import zlib as _zlib
-
-    return pa.array(
-        [_zlib.crc32(str(x).encode("utf-8")) % width for x in c.to_pylist()],
-        pa.int32())
+    return pa.array(crc32_mod(c, width))
 
 
 def _distinct_pairs(pairs: ray.data.Dataset) -> ray.data.Dataset:
@@ -296,8 +288,6 @@ def _distinct_pairs(pairs: ray.data.Dataset) -> ray.data.Dataset:
     whenever every duplicate of a pair carries identical companion
     columns, which holds for all callers (minhash candidates carry
     none; simhash hamming is a pure function of the pair)."""
-    import zlib as _zlib
-
     nshards = _shard_width()
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -307,9 +297,9 @@ def _distinct_pairs(pairs: ray.data.Dataset) -> ray.data.Dataset:
             bv = b.to_numpy(zero_copy_only=False).astype(np.int64)
             arr = pa.array(((av + bv) % nshards).astype(np.int32), pa.int32())
         else:
-            arr = pa.array(
-                [_zlib.crc32(f"{x}|{y}".encode("utf-8")) % nshards
-                 for x, y in zip(a.to_pylist(), b.to_pylist())], pa.int32())
+            arr = pa.array(crc32_mod(
+                [f"{x}|{y}" for x, y in zip(a.to_pylist(), b.to_pylist())],
+                nshards))
         return batch.append_column("pshard", arr)
 
     def dedupe(group: pa.Table) -> pa.Table:
@@ -396,13 +386,11 @@ MEMBER_BROADCAST_MAX = 1_000_000
 _BLOOM_K = 4  # double-hash probes per id; with 16 bits/id FP ~= 0.3%
 
 
-def _bloom_positions(doc_id, nbits: int):
-    """The _BLOOM_K bit positions of one member id: md5 double hashing on
-    str(doc_id), (h1 + i*h2) % nbits — python ints, no uint64 wrap."""
-    dig = hashlib.md5(str(doc_id).encode("utf-8")).digest()
-    h1 = int.from_bytes(dig[:8], "big")
-    h2 = int.from_bytes(dig[8:16], "big")
-    return [(h1 + i * h2) % nbits for i in range(_BLOOM_K)]
+def _bloom_positions(doc_ids, nbits: int) -> np.ndarray:
+    """The _BLOOM_K bit positions of each member id (int64, one row per
+    id): md5 double hashing, (h1 + i*h2) % nbits."""
+    h1, h2 = _bloom_h12(doc_ids, nbits)
+    return (h1[:, None] + np.arange(_BLOOM_K)[None, :] * h2[:, None]) % nbits
 
 
 def _member_bloom(pairs: ray.data.Dataset, n_member_rows: int):
@@ -423,11 +411,9 @@ def _member_bloom(pairs: ray.data.Dataset, n_member_rows: int):
     slice_bits = nbits // width  # both pow2 -> exact division
 
     def positions(batch: pa.Table) -> pa.Table:
-        pos: set = set()
-        for col in ("doc_a", "doc_b"):
-            for d in batch[col].to_pylist():
-                pos.update(_bloom_positions(d, nbits))
-        p = np.fromiter(pos, dtype=np.uint64, count=len(pos))
+        p = np.unique(np.concatenate(
+            [_bloom_positions(batch[col], nbits).ravel()
+             for col in ("doc_a", "doc_b")])).astype(np.uint64)
         return pa.Table.from_pydict(
             {"pos": pa.array(p, pa.uint64()),
              "slice": pa.array((p // slice_bits).astype(np.int64),
@@ -542,14 +528,10 @@ def minhash_near_dups(
         bits_ref, nbits = _member_bloom(pairs, n_member_rows)
 
         def keep_bloom(batch: pa.Table) -> pa.Table:
-            bs = ray.get(bits_ref)
-            keep = pa.array(
-                [all(bs[p >> 3] & (1 << (p & 7))
-                     for p in _bloom_positions(d, nbits))
-                 for d in batch["doc_id"].to_pylist()],
-                type=pa.bool_(),
-            )
-            return batch.filter(keep)
+            bs = np.frombuffer(ray.get(bits_ref), np.uint8)
+            p = _bloom_positions(batch["doc_id"], nbits)
+            member = ((bs[p >> 3] >> (p & 7)) & 1).all(axis=1)
+            return batch.filter(pa.array(member))
 
         corpus_side = ds.map_batches(keep_bloom, batch_format="pyarrow")
 
@@ -643,19 +625,12 @@ def minhash_near_dups(
 # ---------------------------------------------------------------------------
 # SimHash
 
-def _hash64_md5(s: str) -> int:
-    """First 8 bytes (big-endian) of md5 — chosen over blake2b for the
-    token hash so the DuckDB oracle can compute the identical value with
-    its built-in ``md5`` (``('0x' || substr(md5(t),1,16))::UBIGINT``)."""
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
-
-
 def simhash_signature(text: str) -> int:
     toks = _norm_tokens(text)
     if not toks:
         return 0
-    hashes = np.fromiter((_hash64_md5(t) for t in toks), dtype=np.uint64,
-                         count=len(toks))
+    # md5, not blake2b, so the DuckDB twin computes the same token hash
+    hashes = md5_u64(toks)
     bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1)
     votes = (2 * bits.astype(np.int64) - 1).sum(axis=0)
     sig = np.uint64(0)
@@ -680,7 +655,7 @@ def simhash_signatures(ds: ray.data.Dataset) -> ray.data.Dataset:
 # Hamming distance <= 3 by pigeonhole, so the banded result equals the
 # all-pairs answer; the SQL recomputes the signature bit-for-bit (md5
 # low-64 token hash, per-bit majority vote) and filters all pairs.
-SIMHASH_NEAR_DUPS_SQL = """
+SIMHASH_NEAR_DUPS_SQL = f"""
 WITH d AS (
   SELECT doc_id,
          CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
@@ -690,7 +665,7 @@ WITH d AS (
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 votes AS (
   SELECT doc_id, k,
-         sum(CASE WHEN (('0x' || substr(md5(t), 1, 16))::UBIGINT >> k) & 1 = 1
+         sum(CASE WHEN ({md5_u64_sql("t")} >> k) & 1 = 1
                   THEN 1 ELSE -1 END) AS v
   FROM tok, generate_series(0, 63) AS g(k)
   GROUP BY doc_id, k
@@ -882,8 +857,6 @@ def shingle_novelty(ds: ray.data.Dataset) -> ray.data.Dataset:
     the shard-local document frequency IS the global one; per-doc
     partial counts then combine with a built-in Sum aggregate
     (vocabulary-bounded partials, no per-key UDF dispatch)."""
-    import zlib as _zlib
-
     nshards = _shard_width()
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
@@ -897,9 +870,7 @@ def shingle_novelty(ds: ray.data.Dataset) -> ray.data.Dataset:
         return pa.Table.from_pydict(
             {"s": pa.array(sh_out, pa.string()),
              "doc_id": pa.array(id_out, pa.int64()),
-             "shard": pa.array(
-                 [_zlib.crc32(s.encode("utf-8")) % nshards for s in sh_out],
-                 pa.int32())}
+             "shard": pa.array(crc32_mod(sh_out, nshards))}
         )
 
     def shard_counts(group: pa.Table) -> pa.Table:
@@ -974,16 +945,12 @@ def dedup_keepers(ds: ray.data.Dataset) -> ray.data.Dataset:
         return fingerprint_batch(batch).append_column("n_chars",
                                                       batch["n_chars"])
 
-    import zlib as _zlib
-
     width = max(32, cluster_cpus() * 4)
 
     def fp_shard(batch: pa.Table) -> pa.Table:
         t = fp(batch)
         return t.append_column(
-            "shard",
-            pa.array([_zlib.crc32(f.encode("utf-8")) % width
-                      for f in t["fingerprint"].to_pylist()], pa.int32()))
+            "shard", pa.array(crc32_mod(t["fingerprint"], width)))
 
     hashed = ds.map_batches(fp_shard, batch_format="pyarrow")
 
@@ -1066,13 +1033,10 @@ def _label_checksum(labels: ray.data.Dataset) -> int:
     batch — block-count-sized, not data-sized) summed exactly on the
     driver.  Works for any id dtype, unlike a numeric label sum."""
     def partial(batch: pa.Table) -> pa.Table:
-        tot = 0
-        for d, g in zip(batch["doc_id"].to_pylist(),
-                        batch["group_id"].to_pylist()):
-            tot += int.from_bytes(
-                hashlib.blake2b(repr((d, g)).encode(), digest_size=8).digest(),
-                "big",
-            )
+        tot = sum(blake2b_u64(
+            [repr((d, g)) for d, g in zip(batch["doc_id"].to_pylist(),
+                                          batch["group_id"].to_pylist())]
+        ).tolist())
         return pa.Table.from_pydict({"h": pa.array([str(tot)], pa.string())})
 
     parts = labels.map_batches(partial, batch_format="pyarrow").take_all()
@@ -1358,12 +1322,11 @@ def _chunk_rows(batch: pa.Table, keep_text: bool) -> pa.Table:
             raise ValueError(
                 f"doc {doc_id}: {len(cs)} chunks exceeds the packed-key "
                 f"budget (2^{_CHUNK_IDX_BITS})")
-        for i, c in enumerate(cs):
-            ids.append(doc_id)
-            idxs.append(i)
-            keys.append(hashlib.md5(c.encode("utf-8")).hexdigest())
-            if keep_text:
-                chunks.append(c)
+        ids.extend([doc_id] * len(cs))
+        idxs.extend(range(len(cs)))
+        keys.extend(md5_hex(cs))
+        if keep_text:
+            chunks.extend(cs)
     cols = {
         "chunk_key": pa.array(keys, pa.string()),
         "doc_id": pa.array(ids, pa.int64()),
@@ -1547,9 +1510,7 @@ def decontaminate(
                 if not cs:
                     continue
                 ids.append(doc_id)
-                hits.append(sum(
-                    hashlib.md5(c.encode("utf-8")).hexdigest() in bench
-                    for c in cs))
+                hits.append(sum(k in bench for k in md5_hex(cs)))
             return pa.Table.from_pydict(
                 {"doc_id": pa.array(ids, pa.int64()),
                  "n_hits": pa.array(hits, pa.int64()),
@@ -1574,15 +1535,11 @@ def decontaminate(
     both = train.map_batches(train_chunks, batch_format="pyarrow").union(
         distinct_bench.map_batches(bench_side, batch_format="pyarrow"))
 
-    import zlib as _zlib
-
     width = max(32, cluster_cpus() * 4)
 
     def add_shard(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "shard",
-            pa.array([_zlib.crc32(k.encode("utf-8")) % width
-                      for k in batch["chunk_key"].to_pylist()], pa.int32()))
+            "shard", pa.array(crc32_mod(batch["chunk_key"], width)))
 
     def mark_shard(group: pa.Table) -> pa.Table:
         # one coarse shard = many chunk keys (per-chunk_key groups are
@@ -1653,8 +1610,8 @@ ch AS (
 ),
 hashed AS (
   SELECT doc_id, idx,
-         ('0x' || substr(md5(chunk), 1, 16))::UBIGINT % {BLOOM_BITS} AS h1,
-         ('0x' || substr(md5(chunk), 17, 16))::UBIGINT % {BLOOM_BITS} AS h2
+         {md5_u64_sql("chunk")} % {BLOOM_BITS} AS h1,
+         {md5_u64_sql("chunk", 1)} % {BLOOM_BITS} AS h2
   FROM ch
 ),
 bits AS (
@@ -1681,16 +1638,12 @@ FROM chunk_hits GROUP BY doc_id
 """
 
 
-def _bloom_h12(chunks: list[str], bits: int):
-    """(h1, h2) probe bases per chunk: md5 low/high 8 bytes mod bits —
-    the exact integer arithmetic of the SQL twin's UBIGINT expressions."""
-    h1 = np.empty(len(chunks), dtype=np.int64)
-    h2 = np.empty(len(chunks), dtype=np.int64)
-    for i, c in enumerate(chunks):
-        dig = hashlib.md5(c.encode("utf-8")).digest()
-        h1[i] = int.from_bytes(dig[:8], "big") % bits
-        h2[i] = int.from_bytes(dig[8:16], "big") % bits
-    return h1, h2
+def _bloom_h12(values, bits: int):
+    """(h1, h2) probe bases per value (int64): md5 words 0 and 1 mod bits
+    — the exact integer arithmetic of the SQL twin's UBIGINT expressions.
+    ``(h1 + i*h2) % bits`` on these equals it on the unreduced words."""
+    return tuple((md5_u64(values, w) % np.uint64(bits)).astype(np.int64)
+                 for w in (0, 1))
 
 
 def bloom_decontaminate(
@@ -1776,12 +1729,12 @@ def bloom_decontaminate(
 # surviving duplicate starts come back as narrow (doc_id, start) rows
 # co-grouped with the docs on a second coarse doc_id%width shard where
 # numpy takes the interval union per doc.  The SQL twin replays md5-u64
-# with the established ('0x'||substr(md5(g),1,16))::UBIGINT identity.
+# with md5_u64_sql.
 # ---------------------------------------------------------------------------
 
 EXACT_SUBSTR_N = 3
 
-EXACT_SUBSTR_SQL = """
+EXACT_SUBSTR_SQL = f"""
 WITH d AS (
   SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS toks
   FROM documents WHERE trim(text) <> ''
@@ -1799,7 +1752,7 @@ raw AS (
   FROM ng
 ),
 occ AS (
-  SELECT doc_id, s, ('0x' || substr(md5(ngr), 1, 16))::UBIGINT AS h FROM raw
+  SELECT doc_id, s, {md5_u64_sql("ngr")} AS h FROM raw
 ),
 cnt AS (SELECT h, count(*) AS c FROM occ GROUP BY h),
 dup AS (SELECT o.doc_id, o.s FROM occ o JOIN cnt USING (h) WHERE cnt.c >= 2),
@@ -1829,10 +1782,6 @@ FROM cov GROUP BY doc_id
 """
 
 
-def _ngram_u64(ng: str) -> int:
-    return int.from_bytes(hashlib.md5(ng.encode("utf-8")).digest()[:8], "big")
-
-
 def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     """(doc_id, n_tokens, n_dup_tokens, dup_frac, clean_text) — every
     token covered by a corpus-duplicated 3-gram window is removed (all
@@ -1852,17 +1801,17 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     n = EXACT_SUBSTR_N
 
     def occ_rows(batch: pa.Table) -> pa.Table:
-        hs: list[int] = []
+        grams: list[str] = []
         ids: list[int] = []
         ss: list[int] = []
         for did, text in zip(batch["doc_id"].to_pylist(),
                              batch["text"].to_pylist()):
             toks = text.strip().split()
             for s in range(len(toks) - n + 1):
-                hs.append(_ngram_u64(" ".join(toks[s:s + n])))
+                grams.append(" ".join(toks[s:s + n]))
                 ids.append(did)
                 ss.append(s)
-        h = np.array(hs, np.uint64)
+        h = md5_u64(grams)
         return pa.Table.from_pydict(
             {"h": pa.array(h, pa.uint64()),
              "doc_id": pa.array(ids, pa.int64()),

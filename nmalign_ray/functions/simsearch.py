@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..hashing import md5_byte_sql, md5_order_sql
 from .textstats import round6
 
 DEFAULT_K = 5
@@ -702,7 +703,7 @@ def embed_texts(ds: ray.data.Dataset, batch_size: int = 128,
 # SQL-comparable projection of the embedding column: first components as
 # scalars plus the norm from EXACT integer byte sums (one sqrt + one
 # division on each side — bit-identical, no rounding required).
-_B = ("('0x' || substr(md5(text), 2*{i}+1, 2))::INT")
+_B = md5_byte_sql("text", "{i}")
 TEXT_EMBED_SQL = f"""
 SELECT doc_id,
        {_B.format(i=0)} / 255.0 AS emb_0,
@@ -1111,8 +1112,7 @@ SELECT cluster, vec_id, CAST(rn AS BIGINT) AS sample_rank
 FROM (
   SELECT cluster, vec_id,
          row_number() OVER (PARTITION BY cluster
-                            ORDER BY md5(CAST(vec_id AS VARCHAR)), vec_id
-                            ) AS rn
+                            ORDER BY {md5_order_sql("vec_id")}) AS rn
   FROM ({EMBED_KMEANS_SQL}) base
 )
 WHERE rn <= {CLUSTER_SAMPLE_K}

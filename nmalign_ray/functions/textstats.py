@@ -9,7 +9,6 @@ DuckDB twin (the ``*_SQL`` constants) used as the correctness oracle.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
@@ -18,6 +17,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from ..hashing import (md5_hex, md5_order_sql, md5_u32, md5_u32_sql, md5_u64,
+                       md5_u64_sql)
 
 # Gate on driver-side collects of VOCABULARY-sized aggregates (top_terms,
 # tfidf df map, cms final cut) — same convention as LABEL_DRIVER_MAX /
@@ -30,6 +32,12 @@ VOCAB_BROADCAST_MAX = int(
 # batches beyond it fall back to a structured unique (module-level so the
 # fallback branch is testable without a 2M-token batch)
 GOPHER_PACK_LIMIT = 2 ** 62
+
+# a token of the SQL twins' regexp_split_to_array(..., '\s+'): RE2's \s is
+# [\t\n\f\r ], narrower than str.split(), which also splits on \v, \xa0,
+# \x1c-\x1f, \x85 and the Unicode spaces.  DuckDB's trim() strips only
+# spaces, so the twins drop the '' tokens a tab or newline at an end leaves.
+_RE2_TOKEN = re.compile(r"[^\t\n\f\r ]+")
 
 
 def _vocab_pandas(agg: ray.data.Dataset, what: str, empty_cols=None):
@@ -292,7 +300,7 @@ FROM documents
 
 def fingerprint_batch(batch: pa.Table) -> pa.Table:
     norm = _norm_text(batch["text"])
-    fps = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in norm.to_pylist()]
+    fps = md5_hex(norm)
     return pa.Table.from_pydict({"doc_id": batch["doc_id"], "fingerprint": fps})
 
 
@@ -339,6 +347,7 @@ FROM (
   SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
   FROM documents WHERE trim(text) <> ''
 )
+WHERE t <> ''
 GROUP BY t
 ORDER BY cnt DESC, term
 LIMIT {TOP_TERMS_K}
@@ -361,8 +370,7 @@ def top_terms(ds: ray.data.Dataset, k: int = TOP_TERMS_K) -> ray.data.Dataset:
     def partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for text in batch["text"].to_pylist():
-            toks = text.strip().lower().split()
-            counts.update(toks)
+            counts.update(_RE2_TOKEN.findall(text.lower()))
         return pa.Table.from_pydict(
             {"term": pa.array(list(counts.keys()), pa.string()),
              "cnt": pa.array(list(counts.values()), pa.int64())}
@@ -590,8 +598,7 @@ HASH_SAMPLE_MOD = 5
 HASH_SAMPLE_SQL = f"""
 SELECT doc_id, n_chars
 FROM documents
-WHERE ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
-      % {HASH_SAMPLE_MOD} = 0
+WHERE {md5_u32_sql("doc_id")} % {HASH_SAMPLE_MOD} = 0
 """
 
 
@@ -601,15 +608,9 @@ def hash_sample(ds: ray.data.Dataset, mod: int = HASH_SAMPLE_MOD) -> ray.data.Da
     training-data pipeline needs — stable across runs, machines and
     partitionings, unlike ``Dataset.random_sample``.  Stateless
     map-side filter; no shuffle."""
-    import hashlib
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        mask = pa.array(
-            [int(hashlib.md5(str(d).encode()).hexdigest()[:8], 16) % mod == 0
-             for d in ids],
-            type=pa.bool_(),
-        )
+        mask = pa.array(md5_u32(batch["doc_id"]) % mod == 0)
         return pa.Table.from_pydict(
             {"doc_id": pc.filter(batch["doc_id"], mask),
              "n_chars": pc.filter(batch["n_chars"], mask)}
@@ -767,8 +768,7 @@ SELECT lang, doc_id, n_chars
 FROM (
   SELECT lang, doc_id, n_chars,
          row_number() OVER (PARTITION BY lang
-                            ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                            ) AS rn
+                            ORDER BY {md5_order_sql("doc_id")}) AS rn
   FROM documents
 )
 WHERE rn <= {GROUP_SAMPLE_K}
@@ -780,8 +780,7 @@ def _grouped_hash_head(groups: np.ndarray, ids: np.ndarray, k: int):
     (group, md5, id) order, plus their 1-based in-group ranks — THE
     shared deterministic-sampling kernel (group_sample per lang,
     simsearch.cluster_sample per k-means cluster).  Empty-input safe."""
-    keys = np.array([hashlib.md5(str(d).encode()).hexdigest()
-                     for d in ids.tolist()])
+    keys = np.array(md5_hex(ids))
     order = np.lexsort((ids, keys, groups))
     g_s = groups[order]
     starts = np.concatenate([[0], np.flatnonzero(g_s[1:] != g_s[:-1]) + 1])
@@ -868,12 +867,8 @@ def inverted_index(ds: ray.data.Dataset, max_postings: int = MAX_POSTINGS
         for s, e in zip(bounds[:-1], bounds[1:]):
             terms.append(vocab[cs[s]])
             runs.append(np.sort(ids[doc_of[order[s:e]]]).tolist())
-        shards = [
-            int.from_bytes(hashlib.md5(t.encode()).digest()[:4], "big")
-            % width
-            for t in terms]
         return pa.Table.from_pydict(
-            {"shard": pa.array(shards, pa.int64()),
+            {"shard": pa.array((md5_u32(terms) % width).astype(np.int64)),
              "term": pa.array(terms, pa.string()),
              "postings": pa.array(runs, pa.list_(pa.int64()))})
 
@@ -919,11 +914,12 @@ KMV_K = 16
 
 KMV_DISTINCT_SQL = f"""
 WITH h AS (
-  SELECT DISTINCT ('0x' || substr(md5(t), 1, 16))::UBIGINT AS hv
+  SELECT DISTINCT {md5_u64_sql("t")} AS hv
   FROM (
     SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
     FROM documents WHERE trim(text) <> ''
   )
+  WHERE t <> ''
 ),
 k AS (SELECT hv FROM h ORDER BY hv LIMIT {KMV_K})
 SELECT CAST({KMV_K} AS BIGINT) AS k,
@@ -934,16 +930,6 @@ SELECT CAST({KMV_K} AS BIGINT) AS k,
        END AS estimate_distinct
 FROM k
 """
-
-
-def _kmv_hashes(tokens) -> np.ndarray:
-    """Sorted distinct md5-low64 hashes of the given tokens (uint64)."""
-    if not tokens:
-        return np.array([], dtype=np.uint64)
-    return np.unique(np.fromiter(
-        (int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[:8], "big")
-         for t in tokens),
-        dtype=np.uint64))
 
 
 def kmv_distinct(ds: ray.data.Dataset, k: int = KMV_K) -> ray.data.Dataset:
@@ -960,10 +946,8 @@ def kmv_distinct(ds: ray.data.Dataset, k: int = KMV_K) -> ray.data.Dataset:
     def partial(batch: pa.Table) -> pa.Table:
         toks: set[str] = set()
         for text in batch["text"].to_pylist():
-            t = text.strip()
-            if t:
-                toks.update(t.lower().split())
-        hv = _kmv_hashes(sorted(toks))[:k]
+            toks.update(_RE2_TOKEN.findall(text.lower()))
+        hv = np.unique(md5_u64(list(toks)))[:k]
         return pa.Table.from_pydict({"hv": pa.array(hv, pa.uint64())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
@@ -1006,7 +990,7 @@ _HLL_LOW = (1 << (64 - HLL_P)) - 1
 
 HLL_DISTINCT_SQL = f"""
 WITH h AS (
-  SELECT DISTINCT ('0x' || substr(md5(t), 1, 16))::UBIGINT AS hv
+  SELECT DISTINCT {md5_u64_sql("t")} AS hv
   FROM (SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
         FROM documents WHERE trim(text) <> '')
   WHERE t <> ''
@@ -1039,12 +1023,6 @@ FROM s
 """
 
 
-# a token of the SQL twins' regexp_split_to_array(..., '\s+'): RE2's \s is
-# [\t\n\f\r ], narrower than str.split(), which also splits on \v, \xa0,
-# \x1c-\x1f, \x85 and the Unicode spaces
-_RE2_TOKEN = re.compile(r"[^\t\n\f\r ]+")
-
-
 def _hll_registers(texts) -> dict[int, int]:
     """The HLL registers (bucket -> rho) of the distinct tokens of
     ``texts``, split and lowered as the SQL twins do.  Tokens are unioned
@@ -1055,8 +1033,7 @@ def _hll_registers(texts) -> dict[int, int]:
         toks.update(_RE2_TOKEN.findall(text.lower()))
     shift = 64 - HLL_P
     regs: dict[int, int] = {}
-    for tok in toks:
-        hv = int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
+    for hv in md5_u64(list(toks)).tolist():
         w = hv & _HLL_LOW
         rho = shift + 1 if w == 0 else shift + 1 - w.bit_length()
         if rho > regs.get(hv >> shift, 0):
@@ -1142,9 +1119,7 @@ def _narrow_token_rows(batch: pa.Table, with_source: bool = False
         pc.split_pattern_regex(trimmed.filter(keep), r"\s+")).cast(pa.int64())
     ids = batch["doc_id"].combine_chunks().filter(keep)
     out = {"doc_id": ids.cast(pa.int64()),
-           "hkey": pa.array(
-               [hashlib.md5(str(i).encode()).hexdigest()
-                for i in ids.to_pylist()], pa.string()),
+           "hkey": pa.array(md5_hex(ids), pa.string()),
            "n_tokens": n_tokens}
     if with_source:
         out = {"source": batch["source"].combine_chunks().filter(keep)
@@ -1174,7 +1149,7 @@ FROM (
   SELECT source, doc_id, n_tokens,
          sum(n_tokens) OVER (
            PARTITION BY source
-           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
+           ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
   FROM (
     SELECT source, doc_id,
@@ -1230,8 +1205,7 @@ WITH q AS (
                            t -> t IN ({_EN})))
            / CAST(len(regexp_split_to_array(trim(text), '\\s+')) AS DOUBLE)
            END, 6) AS stop_ratio,
-         ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
-           / 4294967296.0 AS hash_frac
+         {md5_u32_sql("doc_id")} / 4294967296.0 AS hash_frac
   FROM documents
 )
 SELECT doc_id,
@@ -1251,11 +1225,7 @@ def soft_sample(ds: ray.data.Dataset) -> ray.data.Dataset:
         q = quality_batch(batch)
         stop_ratio = q["stop_ratio"].to_numpy(zero_copy_only=False)
         prob = np.minimum(1.0, 2.0 * stop_ratio)
-        frac = np.array([
-            int.from_bytes(
-                hashlib.md5(str(d).encode()).digest()[:4], "big")
-            / 4294967296.0
-            for d in batch["doc_id"].to_pylist()])
+        frac = md5_u32(batch["doc_id"]) / 4294967296.0
         mask = frac < prob
         return pa.Table.from_pydict({
             "doc_id": batch["doc_id"].combine_chunks().filter(
@@ -1295,14 +1265,13 @@ WITH counts AS (
     SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
     FROM documents WHERE trim(text) <> ''
   )
+  WHERE t <> ''
   GROUP BY t
 ),
 hashed AS (
   SELECT t, c,
-         CAST(('0x' || substr(md5(t), 1, 16))::UBIGINT % {CMS_WIDTH}
-              AS BIGINT) AS h1,
-         CAST(('0x' || substr(md5(t), 17, 16))::UBIGINT % {CMS_WIDTH}
-              AS BIGINT) AS h2
+         CAST({md5_u64_sql("t")} % {CMS_WIDTH} AS BIGINT) AS h1,
+         CAST({md5_u64_sql("t", 1)} % {CMS_WIDTH} AS BIGINT) AS h2
   FROM counts
 ),
 cells AS (
@@ -1333,10 +1302,16 @@ def cms_heavy_hitters(ds: ray.data.Dataset, depth: int = CMS_DEPTH,
     def term_partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for text in batch["text"].to_pylist():
-            counts.update(text.strip().lower().split())
+            counts.update(_RE2_TOKEN.findall(text.lower()))
         return pa.Table.from_pydict(
             {"term": pa.array(list(counts.keys()), pa.string()),
              "cnt": pa.array(list(counts.values()), pa.int64())})
+
+    def cols(terms) -> np.ndarray:
+        """(depth, len(terms)) sketch columns: (h1 + i*h2) % width."""
+        h1, h2 = ((md5_u64(terms, w) % np.uint64(width)).astype(np.int64)
+                  for w in (0, 1))
+        return (h1[None, :] + np.arange(depth)[:, None] * h2[None, :]) % width
 
     # materialize ONCE: the vocab is consumed twice below (distributed
     # sketch partials + the gated driver cut), and a lazy Dataset re-runs
@@ -1348,26 +1323,17 @@ def cms_heavy_hitters(ds: ray.data.Dataset, depth: int = CMS_DEPTH,
         "term").aggregate(Sum("cnt", alias_name="cnt")).materialize()
 
     def cell_partial(batch: pa.Table) -> pa.Table:
-        terms = batch["term"].to_pylist()
         cnt = batch["cnt"].to_numpy(zero_copy_only=False)
-        h = np.array(
-            [[int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[:8],
-                             "big") % width,
-              int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[8:16],
-                             "big") % width]
-             for t in terms], dtype=np.int64
-        ).reshape(-1, 2)
-        rows, cols, sums = [], [], []
-        for i in range(depth):
-            col = (h[:, 0] + i * h[:, 1]) % width
+        rows, uniqs, sums = [], [], []
+        for i, col in enumerate(cols(batch["term"])):
             # collapse this batch's increments per cell before the shuffle
             uniq, inv = np.unique(col, return_inverse=True)
             rows.append(np.full(len(uniq), i, dtype=np.int64))
-            cols.append(uniq)
+            uniqs.append(uniq)
             sums.append(np.bincount(inv, weights=cnt).astype(np.int64))
         return pa.Table.from_pydict(
             {"row": pa.array(np.concatenate(rows), pa.int64()),
-             "col": pa.array(np.concatenate(cols), pa.int64()),
+             "col": pa.array(np.concatenate(uniqs), pa.int64()),
              "cell_sum": pa.array(np.concatenate(sums), pa.int64())})
 
     # the sketch is merged from per-block (row, col, cell_sum) partials
@@ -1383,19 +1349,13 @@ def cms_heavy_hitters(ds: ray.data.Dataset, depth: int = CMS_DEPTH,
 
     def cut(df):
         top = df.sort_values(["cnt", "term"], ascending=[False, True]).head(k)
-        est = []
-        for t in top["term"]:
-            dig = hashlib.md5(t.encode("utf-8")).digest()
-            h1 = int.from_bytes(dig[:8], "big") % width
-            h2 = int.from_bytes(dig[8:16], "big") % width
-            est.append(int(min(
-                sketch[i, (h1 + i * h2) % width] for i in range(depth))))
+        est = sketch[np.arange(depth)[:, None], cols(top["term"])].min(axis=0)
         import pandas as pd
 
         return pd.DataFrame(
             {"term": top["term"].to_numpy(),
              "exact_cnt": top["cnt"].to_numpy(dtype=np.int64),
-             "cms_estimate": np.asarray(est, dtype=np.int64)})
+             "cms_estimate": est})
 
     return ray.data.from_pandas(
         cut(_vocab_pandas(vocab, "cms_heavy_hitters",
@@ -1423,7 +1383,7 @@ SAMPLED_QUANTILES_S = 256
 SAMPLED_QUANTILES_SQL = f"""
 WITH s AS (
   SELECT n_chars FROM documents
-  ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
+  ORDER BY {md5_order_sql("doc_id")}
   LIMIT {SAMPLED_QUANTILES_S}
 ),
 g AS (SELECT list_sort(list(n_chars)) AS v, count(*) AS n FROM s)
@@ -1444,7 +1404,7 @@ def sampled_quantiles(ds: ray.data.Dataset,
 
     def partial(batch: pa.Table) -> pa.Table:
         dids = batch["doc_id"].to_pylist()
-        keys = [hashlib.md5(str(d).encode()).hexdigest() for d in dids]
+        keys = md5_hex(dids)
         df = pd.DataFrame(
             {"key": keys, "doc_id": dids,
              "n_chars": batch["n_chars"].to_numpy(zero_copy_only=False)})
@@ -1493,7 +1453,7 @@ SELECT doc_id, n_tokens,
 FROM (
   SELECT doc_id, n_tokens,
          sum(n_tokens) OVER (
-           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
+           ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
   FROM (
     SELECT doc_id,
@@ -1830,7 +1790,7 @@ WITH d AS (
 ),
 h AS (
   SELECT doc_id,
-         [('0x' || substr(md5(substr(t, i, {WINNOW_K})), 1, 16))::UBIGINT
+         [{md5_u64_sql(f"substr(t, i, {WINNOW_K})")}
           for i in generate_series(1, len(t) - {WINNOW_K} + 1)] AS hs
   FROM d WHERE len(t) >= {WINNOW_K}
 ),
@@ -1859,10 +1819,7 @@ def winnow_batch(batch: pa.Table, k: int = WINNOW_K,
         m = len(t) - k + 1
         if m <= 0:
             continue
-        h = np.empty(m, np.uint64)
-        for i in range(m):
-            h[i] = int.from_bytes(
-                hashlib.md5(t[i:i + k].encode("utf-8")).digest()[:8], "big")
+        h = md5_u64([t[i:i + k] for i in range(m)])
         if m <= w:
             # short doc: a single window over every gram
             pos = np.array([m - 1 - int(np.argmin(h[::-1]))], np.int64)
@@ -1912,7 +1869,7 @@ def winnow_fingerprints(ds: ray.data.Dataset) -> ray.data.Dataset:
 # stateless vectorized filter.  No corpus-wide shuffle at any scale.
 # ---------------------------------------------------------------------------
 
-TEMPERATURE_MIX_SQL = """
+TEMPERATURE_MIX_SQL = f"""
 WITH s AS (
   SELECT doc_id,
          CASE WHEN doc_id % 10 < 6 THEN 'head'
@@ -1930,8 +1887,7 @@ r AS (
 )
 SELECT d.doc_id, d.source, r.rate
 FROM s d JOIN r USING (source)
-WHERE ('0x' || substr(md5(CAST(d.doc_id AS VARCHAR)), 1, 8))::UBIGINT
-      / 4294967296.0 < r.rate
+WHERE {md5_u32_sql("d.doc_id")} / 4294967296.0 < r.rate
 """
 
 
@@ -1985,10 +1941,7 @@ def temperature_mix(ds: ray.data.Dataset) -> ray.data.Dataset:
         ids = batch["doc_id"].to_pylist()
         srcs = batch["source"].to_pylist()
         # md5 per key is the determinism contract (soft_sample convention)
-        frac = np.array(
-            [int.from_bytes(
-                hashlib.md5(str(i).encode()).digest()[:4], "big")
-             for i in ids], np.float64) / 4294967296.0
+        frac = md5_u32(ids) / 4294967296.0
         rate = np.array([rates[s] for s in srcs], np.float64)
         m = frac < rate
         return pa.Table.from_pydict(
@@ -2023,8 +1976,8 @@ def temperature_mix(ds: ray.data.Dataset) -> ray.data.Dataset:
 DOC_PERPLEXITY_SQL = """
 WITH d AS (
   SELECT doc_id,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE regexp_split_to_array(trim(lower(text)), '\\s+') END AS toks
+         list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
+                     t -> t <> '') AS toks
   FROM documents
 ),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
@@ -2063,7 +2016,7 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
     def count_partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for text in batch["text"].to_pylist():
-            counts.update(text.strip().lower().split())
+            counts.update(_RE2_TOKEN.findall(text.lower()))
         return pa.Table.from_pydict(
             {"term": pa.array(list(counts.keys()), pa.string()),
              "cnt": pa.array(list(counts.values()), pa.int64())})
@@ -2088,7 +2041,7 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
         ids = batch["doc_id"].to_pylist()
         n_toks, avgs, ppls = [], [], []
         for text in batch["text"].to_pylist():
-            toks = text.strip().lower().split()
+            toks = _RE2_TOKEN.findall(text.lower())
             n = len(toks)
             n_toks.append(n)
             if n == 0:
@@ -2125,12 +2078,12 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
 # by construction.
 # ---------------------------------------------------------------------------
 
-STRATIFIED_SPLIT_SQL = """
+STRATIFIED_SPLIT_SQL = f"""
 WITH r AS (
   SELECT doc_id, source,
          row_number() OVER (
            PARTITION BY source
-           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) - 1 AS strat_rank,
+           ORDER BY {md5_order_sql("doc_id")}) - 1 AS strat_rank,
          count(*) OVER (PARTITION BY source) AS n
   FROM documents
 )
@@ -2148,13 +2101,10 @@ def stratified_split(ds: ray.data.Dataset) -> ray.data.Dataset:
     import ray
 
     def narrow(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
         return pa.Table.from_pydict(
             {"source": batch["source"].combine_chunks().cast(pa.string()),
              "doc_id": batch["doc_id"].combine_chunks().cast(pa.int64()),
-             "hkey": pa.array(
-                 [hashlib.md5(str(i).encode()).hexdigest() for i in ids],
-                 pa.string())})
+             "hkey": pa.array(md5_hex(batch["doc_id"]), pa.string())})
 
     sorted_ds = ds.map_batches(narrow, batch_format="pyarrow").sort(
         ["source", "hkey", "doc_id"])
@@ -2233,14 +2183,13 @@ def stratified_split(ds: ray.data.Dataset) -> ray.data.Dataset:
 DSIR_BUCKETS = 4096
 DSIR_TARGET_LANG = "en"
 
-_DSIR_BKT = ("CAST(('0x' || substr(md5(g), 1, 8))::UBIGINT "
-             f"% {DSIR_BUCKETS} AS BIGINT)")
+_DSIR_BKT = f"CAST({md5_u32_sql('g')} % {DSIR_BUCKETS} AS BIGINT)"
 
 DSIR_SAMPLE_SQL = f"""
 WITH d AS (
   SELECT doc_id, lang,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE regexp_split_to_array(trim(lower(text)), '\\s+') END AS toks
+         list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
+                     t -> t <> '') AS toks
   FROM documents
 ),
 grams AS (
@@ -2279,14 +2228,11 @@ FROM d LEFT JOIN w USING (doc_id)
 """
 
 
-def _dsir_grams(text: str) -> list:
-    toks = text.strip().lower().split()
-    return toks + [a + " " + b for a, b in zip(toks, toks[1:])]
-
-
-def _dsir_bucket(g: str) -> int:
-    return int.from_bytes(
-        hashlib.md5(g.encode()).digest()[:4], "big") % DSIR_BUCKETS
+def _dsir_buckets(text: str) -> list[int]:
+    """The bucket of each unigram and bigram of ``text``."""
+    toks = _RE2_TOKEN.findall(text.lower())
+    grams = toks + [a + " " + b for a, b in zip(toks, toks[1:])]
+    return (md5_u32(grams) % DSIR_BUCKETS).tolist()
 
 
 def dsir_sample(ds: ray.data.Dataset,
@@ -2307,7 +2253,7 @@ def dsir_sample(ds: ray.data.Dataset,
         c_tgt: Counter = Counter()
         for text, lang in zip(batch["text"].to_pylist(),
                               batch["lang"].to_pylist()):
-            bkts = [_dsir_bucket(g) for g in _dsir_grams(text)]
+            bkts = _dsir_buckets(text)
             c_all.update(bkts)
             if lang == target_lang:
                 c_tgt.update(bkts)
@@ -2344,8 +2290,7 @@ def dsir_sample(ds: ray.data.Dataset,
             # sequential fold over bucket-sorted terms = the SQL twin's
             # list_sum(list(term ORDER BY b))
             for b, nb in sorted(
-                    Counter(_dsir_bucket(g)
-                            for g in _dsir_grams(text)).items()):
+                    Counter(_dsir_buckets(text)).items()):
                 s += float(nb) * r[b]
             ws.append(s)
         w = np.array(ws, np.float64)
@@ -2513,7 +2458,7 @@ def bpe_pair_counts(ds: ray.data.Dataset, k: int = BPE_PAIRS_K
 
 SOURCE_HLL_SQL = f"""
 WITH h AS (
-  SELECT DISTINCT source, ('0x' || substr(md5(t), 1, 16))::UBIGINT AS hv
+  SELECT DISTINCT source, {md5_u64_sql("t")} AS hv
   FROM (SELECT source,
                unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
         FROM documents WHERE trim(text) <> '')

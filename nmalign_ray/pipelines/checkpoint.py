@@ -82,15 +82,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from ..schema import EngineConfig, OUTPUT_SCHEMA, crc32_shard, crc32_shards
+from ..hashing import crc32_mod
+from ..schema import EngineConfig, OUTPUT_SCHEMA
 from ..stages import extract_stage
 from ..stages.aligner import AlignChunks
 from ..stages.reassemble import reassemble_group
 from .extract import sort_into_ranges
-
-
-def doc_partition(doc_id: str, num_partitions: int) -> int:
-    return crc32_shard(doc_id, num_partitions)
 
 
 def resolve_num_partitions(out_dir: str, cfg: EngineConfig) -> int:
@@ -145,7 +142,8 @@ def completed_partitions(out_dir: str) -> set[int]:
 
 
 def _add_pid(batch: pa.Table, num_partitions: int) -> pa.Table:
-    return batch.append_column("pid", crc32_shards(batch["doc_id"], num_partitions))
+    pid = crc32_mod(batch["doc_id"], num_partitions)
+    return batch.append_column("pid", pa.array(pid))
 
 
 def _filter_completed(batch: pa.Table, done: frozenset) -> pa.Table:

@@ -2,8 +2,7 @@
 
 * :func:`sort_into_ranges` — the plan's and the pair join's exchange: a
   sort on an integer key into one contiguous key range per CPU;
-* :func:`join_refs` — the two-table form's pair join on ``doc_id``;
-* :func:`read_corpus`.
+* :func:`join_refs` — the two-table form's pair join on ``doc_id``.
 
 The plan itself — read, ``pid``, the ``sort("pid")`` exchange into one
 block per CPU, and one task per block that extracts, aligns, reassembles
@@ -16,10 +15,6 @@ from __future__ import annotations
 import ray.data
 
 from ..schema import cluster_cpus
-
-
-def read_corpus(path: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(path, columns=columns)
 
 
 def sort_into_ranges(ds: ray.data.Dataset, key: str, num_keys: int) -> ray.data.Dataset:
@@ -86,7 +81,8 @@ def join_refs(
     import numpy as np
     import pyarrow as pa
 
-    from ..schema import CORPUS_SCHEMA, crc32_shards
+    from ..hashing import crc32_mod
+    from ..schema import CORPUS_SCHEMA
 
     if missing not in ("skip", "abort"):
         raise ValueError(f"missing must be 'skip' or 'abort', got {missing!r}")
@@ -110,7 +106,7 @@ def join_refs(
                 "doc_id": batch["doc_id"],
                 "spans": batch["spans"].cast(CORPUS_SCHEMA.field("spans").type),
                 "ref_spans": pa.nulls(n, CORPUS_SCHEMA.field("ref_spans").type),
-                "shard": crc32_shards(batch["doc_id"], nshards),
+                "shard": crc32_mod(batch["doc_id"], nshards),
             },
             schema=tagged_schema,
         )
@@ -123,7 +119,7 @@ def join_refs(
                 "spans": pa.nulls(n, CORPUS_SCHEMA.field("spans").type),
                 "ref_spans": batch["ref_spans"].cast(
                     CORPUS_SCHEMA.field("ref_spans").type),
-                "shard": crc32_shards(batch["doc_id"], nshards),
+                "shard": crc32_mod(batch["doc_id"], nshards),
             },
             schema=tagged_schema,
         )

@@ -16,7 +16,6 @@ string lists / PAGE-XML DOM (SURVEY §1.2; reference data model at
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -72,22 +71,6 @@ def cluster_cpus(default: int = 8) -> int:
     if ray.is_initialized():
         return int(ray.cluster_resources().get("CPU", default))
     return default
-
-
-def crc32_shard(doc_id: str, num_shards: int) -> int:
-    """THE deterministic doc→shard key, shared by every stage that
-    co-locates by document (checkpoint partitions, the pair-join shards).
-    crc32, not python ``hash()``: stable across worker processes
-    (PYTHONHASHSEED), runs and machines — checkpoint resume depends on it
-    never changing."""
-    return zlib.crc32(str(doc_id).encode("utf-8")) % num_shards
-
-
-def crc32_shards(doc_ids, num_shards: int) -> pa.Int32Array:
-    """:func:`crc32_shard` over an Arrow column of doc_ids, as one int32
-    array (same bits, one call per batch)."""
-    return pa.array([crc32_shard(d, num_shards) for d in doc_ids.to_pylist()],
-                    type=pa.int32())
 
 
 # The reference test-suite's historical-orthography normalization map

@@ -162,14 +162,14 @@ def read_flat_corpus(
         raise ValueError(f"unknown flat-corpus format {format!r}")
     expected = _expected(with_refs)
 
-    from .schema import crc32_shards
+    from .hashing import crc32_mod
 
     cpus = cluster_cpus()
     nshards = max(32, cpus * 4)
 
     def tag_shard(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "shard", crc32_shards(batch["doc_id"], nshards))
+            "shard", pa.array(crc32_mod(batch["doc_id"], nshards)))
 
     def assemble_shard(group: pa.Table) -> pa.Table:
         by_doc: dict[str, list] = {}

@@ -8,13 +8,18 @@ import pytest
 
 from nmalign_ray.corpus import generate_corpus
 from nmalign_ray.document import oracle_table
+from nmalign_ray.hashing import crc32_mod
 from nmalign_ray.pipelines.checkpoint import (
     completed_partitions,
-    doc_partition,
     read_output,
     run_checkpointed,
 )
 from nmalign_ray.schema import EngineConfig
+
+
+def doc_partition(doc_id, num_partitions):
+    """The pid the plan gives ``doc_id``."""
+    return int(crc32_mod([doc_id], num_partitions)[0])
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Functional tests for the training-data operators on planted inputs."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -2336,16 +2337,35 @@ class TestHllWhitespacePadding:
 
     TEXTS = ["\talpha beta\n", "\n\ngamma\t", "\t", "beta\r\n", "  delta  "]
     SOURCES = ["a", "b", "a", "b", "a"]
+    LANGS = ["en", "de", "en", "en", "de"]
+
+    def _docs(self):
+        return pa.Table.from_pydict(
+            {"doc_id": pa.array(range(len(self.TEXTS)), pa.int64()),
+             "source": pa.array(self.SOURCES, pa.string()),
+             "lang": pa.array(self.LANGS, pa.string()),
+             "text": pa.array(self.TEXTS, pa.string())})
 
     def _sql(self, sql):
         import duckdb
 
         con = duckdb.connect()
-        con.register("documents", pa.Table.from_pydict(
-            {"doc_id": pa.array(range(len(self.TEXTS)), pa.int64()),
-             "source": pa.array(self.SOURCES, pa.string()),
-             "text": pa.array(self.TEXTS, pa.string())}))
+        con.register("documents", self._docs())
         return con.execute(sql).fetchdf()
+
+    @pytest.mark.parametrize("name", ["top_terms", "kmv_distinct",
+                                      "cms_heavy_hitters", "doc_perplexity",
+                                      "dsir_sample"])
+    def test_tokenizing_twins_agree(self, ray_session, name):
+        from nmalign_ray.functions import textstats as ts
+
+        py = getattr(ts, name)(
+            ray_session.data.from_arrow(self._docs())).to_pandas()
+        sql = self._sql(getattr(ts, f"{name.upper()}_SQL"))
+        py, sql = (out[sorted(out.columns)].sort_values(sorted(out.columns))
+                   .reset_index(drop=True) for out in (py, sql))
+        pd.testing.assert_frame_equal(py, sql, check_dtype=False,
+                                      check_exact=True)
 
     def test_hll_distinct_twins_agree(self, ray_session):
         from nmalign_ray.functions import textstats as ts
