@@ -8,11 +8,14 @@ the input rows; everything after it runs inside one task per pid range::
       -> map_batches(_filter_completed)          resume: drop finished pids
       -> sort("pid", boundaries)                 one block per CPU: [0, P) in
                                                  min(P, CPUs) pid ranges
-      -> map_batches(per-range function), per partition of the range in
-         pid order, per slice of ``extract_batch_size`` documents in
-         doc_id order:
+      -> map_batches(per-range function):
+         pass 1: each document over REMOTE_CELLS but the range's first
+                 -> its own Ray task (extract_and_salt -> AlignChunks)
+         pass 2: per partition of the range in pid order, per slice of
+         ``extract_batch_size`` documents in doc_id order:
            extract_and_salt                      parse cascade + skew salting
            -> AlignChunks(cfg.align)             forced alignment per chunk
+           -> + the slice's heavy documents      ray.get from pass 1's tasks
            -> reassemble_group                   chunks -> document rows
 
 * :func:`build_extract_pipeline` ends in ``map_batches(_extract_partition)``
@@ -40,10 +43,21 @@ that, and left one CPU idle).  Measured on 4 vCPU (``perfbench/run.py
 --seconds 14 --trace 0``, 10 pairs alternating with the reserving plan):
 ``mix`` 1191 -> 1532 docs/s; ``giant`` 6.67 -> 6.66 docs/s; set-up +4%
 and +14%, as the first execution in a session now starts a worker process
-for its fourth range task.  Salting bounds
-the size of each alignment call; it does not spread one giant document
-across CPUs: its chunks stay in one range task, and a range holds whole
-partitions, so heavy pids that share a range run one after another.
+for its fourth range task.
+
+Ranges are equal in pids, not in work.  So that heavy partitions that
+share a range do not run one after another, the range task first sends
+each document whose estimated cost (:func:`_doc_cells`) is over
+``REMOTE_CELLS`` to its own Ray task, all but the first one it reaches,
+which it aligns itself; it then works through its partitions and waits
+for the other documents' rows in their slices.  A task waiting in
+``ray.get`` gives its CPU back, so the heavy documents of a range align
+in parallel (FP-Hadoop's heavy-key split, VLDB 2015).  Measured on 4
+vCPU (``perfbench/run.py --seconds 14 --trace 0``, 10 pairs alternating
+with the plan that kept every document in its range task): ``giant``
+8.35 -> 11.56 docs/s (+38%), ``mix`` unchanged.  Salting bounds
+the size of each alignment call; it does not split one document across
+tasks, so one giant document still aligns on one CPU.
 
 North-rule requirement: "resumable from checkpoint with per-partition
 lineage + metrics".  This generalizes the reference's page-granular
@@ -80,6 +94,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..hashing import crc32_mod
@@ -172,21 +187,110 @@ def _pid_runs(block: pa.Table):
         yield int(pids[lo]), block.slice(lo, hi - lo)
 
 
-def _partition_slices(group: pa.Table, cfg: EngineConfig):
+# A document costs about (Σ span characters) x (Σ reference characters)
+# cells of similarity matrix; over this many it aligns in its own Ray task.
+# The heaviest documents of the ``mix`` benchmark (and of
+# ``corpus.generate_corpus``) stay below 1e6 cells, a few milliseconds of
+# alignment, for which a task would cost more than it saves.
+REMOTE_CELLS = 1 << 21
+
+
+def _text_chars(col: pa.ChunkedArray) -> np.ndarray:
+    """Σ characters (code points) of the ``text`` fields of each row's
+    span list, as int64; null lists and null texts count 0."""
+    col = col.combine_chunks()
+    chars = pc.utf8_length(pc.struct_field(pc.list_flatten(col), "text"))
+    csum = np.zeros(len(chars) + 1, dtype=np.int64)
+    np.cumsum(chars.fill_null(0).to_numpy(zero_copy_only=False), out=csum[1:])
+    ends = np.cumsum(pc.list_value_length(col).fill_null(0).to_numpy(
+        zero_copy_only=False), dtype=np.int64)
+    return np.diff(csum[ends], prepend=0)
+
+
+def _doc_cells(rows: pa.Table) -> np.ndarray:
+    """Each document's estimated alignment cost, read from the input
+    columns before any extraction: Σ text characters of ``spans`` x Σ
+    text characters of ``ref_spans``."""
+    return _text_chars(rows["spans"]) * _text_chars(rows["ref_spans"])
+
+
+@ray.remote
+def _align_alone(doc: pa.Table, cfg: EngineConfig) -> pa.Table:
+    """One document's ``ALIGNED_SCHEMA`` rows, aligned in its own task."""
+    chunks = extract_stage.extract_and_salt(doc, salt_threshold=cfg.salt_threshold)
+    return AlignChunks(cfg.align)(chunks)
+
+
+def _heavy_rows(rows: pa.Table) -> list[int]:
+    """The rows of one partition over ``REMOTE_CELLS``, in ``doc_id``
+    order (the order in which the range task reaches them)."""
+    heavy = np.flatnonzero(_doc_cells(rows) > REMOTE_CELLS)
+    doc_ids = rows["doc_id"].take(pa.array(heavy, pa.int64())).to_pylist()
+    return [int(i) for _, i in sorted(zip(doc_ids, heavy))]
+
+
+def _range_partitions(block: pa.Table, cfg: EngineConfig,
+                      committed=lambda pid: False):
+    """The partitions of one pid range, in two passes.
+
+    Pass 1 (this call) walks the block's pid runs and submits each heavy
+    document of every partition that is not ``committed`` to a Ray task
+    of its own (:func:`_align_alone`), so that the heavy documents of
+    the range align in parallel, with each other and with the rest of
+    the range.  The first heavy document the range reaches is the
+    exception: the range task aligns it itself, where it would
+    otherwise wait idle in ``ray.get``.  So a range holds one worker
+    process fewer: four heavy documents in two ranges keep four workers
+    busy, not six.  With more busy workers than CPUs, Ray reaps the idle
+    extras between rounds and starts them again in the next one.
+    Without a Ray session nothing is submitted.
+
+    Returns ``(pid, rows, remote)`` per partition in pid order, for the
+    caller's pass 2; ``remote`` maps a row of ``rows`` to its document's
+    task, and is None for a committed partition."""
+    runs, keep_first = [], True
+    for pid, rows in _pid_runs(block):
+        if committed(pid):
+            runs.append((pid, rows, None))
+            continue
+        heavy = _heavy_rows(rows) if ray.is_initialized() else []
+        if heavy and keep_first:
+            heavy, keep_first = heavy[1:], False
+        runs.append((pid, rows, {i: _align_alone.remote(rows.take([i]), cfg)
+                                 for i in heavy}))
+    return runs
+
+
+def _partition_slices(rows: pa.Table, cfg: EngineConfig, remote: dict):
     """Extract, align and reassemble one partition's documents, yielding
     one ``OUTPUT_SCHEMA`` table per slice of ``cfg.extract_batch_size``
     documents, in ``doc_id`` order.
 
     A slice bounds the rows each layer holds at once; every chunk of a
-    document stays in its document's slice.  ``extract_and_salt`` is
-    looked up on its module at call time, so a wrapper installed there
-    (``perfbench/tracer.py``) sees every call."""
-    group = group.take(pc.sort_indices(group, sort_keys=[("doc_id", "ascending")]))
+    document stays in its document's slice.  The documents in ``remote``
+    are not aligned here: the slice waits for their tasks' rows (a task
+    waiting in ``ray.get`` lends its CPU back to Ray), and
+    ``reassemble_group`` merges them with the others by ``(doc_id,
+    salt)``, so where a document aligned does not change the output.
+    ``extract_and_salt`` is looked up on its module at call time, so a
+    wrapper installed there (``perfbench/tracer.py``) sees every call."""
+    order = pc.sort_indices(rows, sort_keys=[("doc_id", "ascending")])
+    group = rows.take(order)
+    order = order.to_numpy()
     aligner = AlignChunks(cfg.align)
     for lo in range(0, group.num_rows, cfg.extract_batch_size):
-        chunks = extract_stage.extract_and_salt(
-            group.slice(lo, cfg.extract_batch_size), salt_threshold=cfg.salt_threshold)
-        yield reassemble_group(aligner(chunks))
+        here = order[lo:lo + cfg.extract_batch_size]
+        is_remote = np.isin(here, list(remote))
+        local = group.slice(lo, len(here))
+        if is_remote.any():
+            local = local.filter(pa.array(~is_remote))
+        parts = []
+        if local.num_rows:
+            parts.append(aligner(extract_stage.extract_and_salt(
+                local, salt_threshold=cfg.salt_threshold)))
+        if is_remote.any():
+            parts += ray.get([remote[int(i)] for i in here[is_remote]])
+        yield reassemble_group(pa.concat_tables(parts))
 
 
 def _extract_partition(block: pa.Table, cfg: EngineConfig):
@@ -194,8 +298,8 @@ def _extract_partition(block: pa.Table, cfg: EngineConfig):
     slice by slice, partition by partition, so the task's output blocks
     are cut by Ray's block size, not by the size of the range."""
     empty = True
-    for _, group in _pid_runs(block):
-        for table in _partition_slices(group, cfg):
+    for _, rows, remote in _range_partitions(block, cfg):
+        for table in _partition_slices(rows, cfg, remote):
             empty = False
             yield table
     if empty:
@@ -211,12 +315,19 @@ def _write_partition(block: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Tab
     A partition whose manifest already exists was committed by an
     earlier attempt of this task (the resume filter removed every
     partition committed before the run), so a retried range keeps it
-    as it is and reports its manifest."""
+    as it is, submits none of its documents, and reports its manifest.
+    A manifest records, besides the partition's counts, ``remote_docs``:
+    how many of its documents aligned in their own task."""
     mdir = os.path.join(out_dir, "_manifest")
+
+    def manifest_path(pid):
+        return os.path.join(mdir, f"part-{pid}.json")
+
     manifests = []
-    for pid, group in _pid_runs(block):
-        committed = os.path.join(mdir, f"part-{pid}.json")
-        if os.path.exists(committed):
+    for pid, rows, remote in _range_partitions(
+            block, cfg, committed=lambda pid: os.path.exists(manifest_path(pid))):
+        committed = manifest_path(pid)
+        if remote is None:
             with open(committed) as f:
                 manifests.append(json.load(f))
             continue
@@ -226,9 +337,9 @@ def _write_partition(block: pa.Table, out_dir: str, cfg: EngineConfig) -> pa.Tab
         shutil.rmtree(tmp_dir, ignore_errors=True)
         os.makedirs(tmp_dir)
         manifest = {"pid": pid, "num_docs": 0, "matched": 0, "total": 0,
-                    "unmatched_ref_count": 0}
+                    "unmatched_ref_count": 0, "remote_docs": len(remote)}
         with pq.ParquetWriter(os.path.join(tmp_dir, "data.parquet"), OUTPUT_SCHEMA) as writer:
-            for table in _partition_slices(group, cfg):
+            for table in _partition_slices(rows, cfg, remote):
                 writer.write_table(table)
                 manifest["num_docs"] += table.num_rows
                 for name in ("matched", "total", "unmatched_ref_count"):

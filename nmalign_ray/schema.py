@@ -101,7 +101,9 @@ class EngineConfig:
     # salted into contiguous (doc_id, salt) chunks before alignment and
     # re-merged by offset afterwards (north rule; SURVEY §4.2).  This
     # bounds the size of each alignment call; all chunks of a document
-    # are still aligned in one range task, on one CPU
+    # are still aligned in one task, on one CPU (heavy documents' own
+    # tasks, pipelines/checkpoint.py::REMOTE_CELLS, let the heavy
+    # documents of one pid range align in parallel)
     salt_threshold: int = 256
     # documents per slice: the range task extracts, aligns and
     # reassembles this many documents at a time (and the sink writes

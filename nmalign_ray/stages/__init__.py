@@ -4,17 +4,22 @@ Stage layout (SURVEY §3.4 / §7.2):
 
 | stage          | runs in                                      | unit                    |
 |----------------|----------------------------------------------|-------------------------|
-| extract + salt | the pid range's ``map_batches`` task         | document -> chunk rows  |
+| extract + salt | the pid range's ``map_batches`` task, or a   | document -> chunk rows  |
+|                | heavy document's own Ray task                |                         |
 | align          | the same task (``AlignChunks``, in process)  | chunk                   |
-| reassemble     | the same task (``reassemble_group``)         | chunks -> document rows |
+| reassemble     | the range task (``reassemble_group``)        | chunks -> document rows |
 
 ``pid = crc32(doc_id) % P`` is computed once at the read, and the one
 exchange, ``sort("pid")`` into one block per CPU (``[0, P)`` in
 ``min(P, CPUs)`` contiguous pid ranges), moves the input rows before any
 stage runs (``pipelines/checkpoint.py``).  Each range's task then takes
 its partitions in pid order and runs the three stages over slices of
-``extract_batch_size`` documents of one partition.  One document's
-chunks still run in one task.
+``extract_batch_size`` documents of one partition.  Before that, it
+sends the documents whose estimated cost is over ``REMOTE_CELLS``, all
+but the first it will reach, to Ray tasks of their own (extract + salt
++ align) and collects their rows into their slices, so heavy documents
+of one range align in parallel.
+One document's chunks still run in one task.
 
 All stages are Arrow-in / Arrow-out.
 """

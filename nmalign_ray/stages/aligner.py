@@ -5,8 +5,9 @@
 what guarantees fixture parity — after ONE batched similarity pass over
 all of the batch's chunks.  The extraction plan calls it inside each
 pid range's task, once per slice of one partition's documents
-(``pipelines/checkpoint.py::_partition_slices``); there is no separate
-aligner operator or actor pool.  Its only state is the compiled regex
+(``pipelines/checkpoint.py::_partition_slices``), and in the task of
+a heavy document sent off on its own (``checkpoint.py::_align_alone``);
+there is no separate aligner operator or actor pool.  Its only state is the compiled regex
 program, which ``make_preprocessor`` caches per process, and Ray reuses
 task worker processes across rounds, so the program is compiled once
 per worker.

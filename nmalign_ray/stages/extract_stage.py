@@ -7,7 +7,10 @@ handling; SURVEY §4.2) so no single alignment call exceeds the bound
 (the reference holds a whole page in RAM instead, its
 ``nmalign/lib/align.py:60-61``).  Salting bounds the size
 of each kernel call; it does not spread one giant document across CPUs,
-because all of a document's chunks are aligned in one range task.
+because all of a document's chunks are aligned in one task: its range's
+task, or, for most documents over
+``pipelines/checkpoint.py::REMOTE_CELLS``, a task of their own, so that
+heavy documents of one range align in parallel.
 
 The per-document work (DOM parsing, layout re-sort) is inherently
 row-wise; the engine's vectorization budget is spent where it matters —

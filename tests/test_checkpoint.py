@@ -429,3 +429,133 @@ class TestRangeTask:
         reversed_block = block.take(pa.array(range(block.num_rows - 1, -1, -1)))
         with pytest.raises(ValueError, match="not sorted by pid"):
             _write_partition(reversed_block, out, cfg)
+
+
+class _SubmitSpy:
+    """Stands in for ``checkpoint._align_alone``: records the doc_id of
+    every document submitted to its own task, then submits it."""
+
+    def __init__(self, task):
+        self.task = task
+        self.doc_ids = []
+
+    def remote(self, doc, cfg):
+        self.doc_ids.extend(doc["doc_id"].to_pylist())
+        return self.task.remote(doc, cfg)
+
+
+def shipped(heavy, pids):
+    """The heavy documents a range task sends to tasks of their own: all
+    but the first it reaches, in (pid, doc_id) order."""
+    return sorted(sorted(heavy, key=lambda d: (pids[d], d))[1:])
+
+
+class TestHeavyDocuments:
+    """Documents over ``REMOTE_CELLS`` align in their own Ray task, but
+    for the range's first, which the range task aligns itself; the range
+    task's output must not change with where a document aligned."""
+
+    @pytest.fixture
+    def block(self):
+        import pyarrow as pa
+
+        from nmalign_ray.corpus import make_skewed_document
+        from nmalign_ray.pipelines.checkpoint import _add_pid
+        from nmalign_ray.schema import CORPUS_SCHEMA
+
+        # six 30-span documents of about 2.8e6 cells, two each in pids
+        # 0 and 2, among twelve light ones over all four pids
+        heavy = [make_skewed_document(k, 3, 30) for k in range(6)]
+        corpus = pa.concat_tables([generate_corpus(num_docs=12, seed=42), pa.Table.from_pydict(
+            {"doc_id": [d[0] for d in heavy], "spans": [d[1] for d in heavy],
+             "ref_spans": [d[2] for d in heavy]}, schema=CORPUS_SCHEMA)])
+        return _add_pid(corpus, 4).sort_by("pid")
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        from nmalign_ray.pipelines import checkpoint
+
+        spy = _SubmitSpy(checkpoint._align_alone)
+        monkeypatch.setattr(checkpoint, "_align_alone", spy)
+        return spy
+
+    # small slices and salt chunks: slices mix remote and local
+    # documents, and a remote document aligns as several chunks
+    cfg = EngineConfig(salt_threshold=8, extract_batch_size=4, num_partitions=4)
+
+    def heavy_ids(self, block):
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines.checkpoint import REMOTE_CELLS, _doc_cells
+
+        heavy = pa.array(_doc_cells(block) > REMOTE_CELLS)
+        return sorted(block.filter(heavy)["doc_id"].to_pylist())
+
+    @pytest.mark.parametrize("all_remote", [False, True])
+    def test_output_is_bit_identical(self, ray_session, block, spy, monkeypatch,
+                                     tmp_path, all_remote):
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines import checkpoint
+        from nmalign_ray.schema import OUTPUT_SCHEMA
+
+        if all_remote:
+            monkeypatch.setattr(checkpoint, "REMOTE_CELLS", 0)
+        heavy = self.heavy_ids(block)
+        pids = dict(zip(block["doc_id"].to_pylist(), block["pid"].to_pylist()))
+        assert len(set(pids.values())) >= 3
+        if all_remote:
+            assert len(heavy) == block.num_rows
+        else:
+            assert len(heavy) == 6 and len({pids[d] for d in heavy}) == 4
+        want = oracle_table(block.drop(["pid"]), self.cfg.align,
+                            salt_threshold=self.cfg.salt_threshold).sort_by("doc_id")
+
+        remote = shipped(heavy, pids)
+        lazy = pa.concat_tables(checkpoint._extract_partition(block, self.cfg))
+        assert lazy.sort_by("doc_id").equals(want)
+        assert sorted(spy.doc_ids) == remote
+
+        spy.doc_ids.clear()
+        out = str(tmp_path / "out")
+        summary = checkpoint._write_partition(block, out, self.cfg)
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+        assert sorted(spy.doc_ids) == remote
+        for pid in summary["pid"].to_pylist():
+            with open(os.path.join(out, "_manifest", f"part-{pid}.json")) as f:
+                manifest = json.load(f)
+            assert manifest["remote_docs"] == sum(pids[d] == pid for d in remote)
+
+        # a retried range submits only documents of the partition it
+        # writes again (one with two heavy documents), none of those it
+        # keeps
+        again = max(pid for pid in pids.values()
+                    if sum(pids[d] == pid for d in heavy) >= 2)
+        os.remove(os.path.join(out, "_manifest", f"part-{again}.json"))
+        spy.doc_ids.clear()
+        assert checkpoint._write_partition(block, out, self.cfg).equals(summary)
+        assert sorted(spy.doc_ids) == shipped(
+            [d for d in heavy if pids[d] == again], pids)
+        assert spy.doc_ids
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+
+    def test_no_session_aligns_in_process(self, ray_session, block, spy,
+                                          monkeypatch, tmp_path):
+        import pyarrow as pa
+
+        from nmalign_ray.pipelines import checkpoint
+        from nmalign_ray.schema import OUTPUT_SCHEMA
+
+        monkeypatch.setattr(checkpoint.ray, "is_initialized", lambda: False)
+        assert self.heavy_ids(block)
+        want = oracle_table(block.drop(["pid"]), self.cfg.align,
+                            salt_threshold=self.cfg.salt_threshold).sort_by("doc_id")
+        lazy = pa.concat_tables(checkpoint._extract_partition(block, self.cfg))
+        assert lazy.sort_by("doc_id").equals(want)
+        out = str(tmp_path / "out")
+        summary = checkpoint._write_partition(block, out, self.cfg)
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
+        assert spy.doc_ids == []
+        for pid in summary["pid"].to_pylist():
+            with open(os.path.join(out, "_manifest", f"part-{pid}.json")) as f:
+                assert json.load(f)["remote_docs"] == 0

@@ -202,6 +202,45 @@ def test_crc32_shards_equal_scalar_form(ids, n):
     assert got.to_pylist() == [zlib.crc32(str(d).encode("utf-8")) % n for d in ids]
 
 
+
+span = st.fixed_dictionaries({
+    "kind": st.just("text"),
+    "text": st.one_of(st.none(), st.text()),
+    "media_ref": st.just(""),
+    "offset": st.integers(0, 100),
+})
+span_list = st.one_of(st.none(), st.lists(span, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(st.tuples(span_list, span_list), max_size=8),
+       cut=st.integers(0, 8), lo=st.integers(0, 8))
+@example(docs=[(None, []), ([{"kind": "text", "text": None, "media_ref": "",
+                              "offset": 0}], None),
+               ([{"kind": "text", "text": "ſäö 文書", "media_ref": "", "offset": 0}],
+                [{"kind": "text", "text": "\U0001F600x", "media_ref": "", "offset": 1}])],
+         cut=1, lo=1)
+def test_doc_cells_equal_scalar_form(docs, cut, lo):
+    # over several chunks and a sliced table, as a range task sees them
+    import pyarrow as pa
+
+    from nmalign_ray.pipelines.checkpoint import _doc_cells
+    from nmalign_ray.schema import CORPUS_SCHEMA
+
+    table = pa.Table.from_pydict(
+        {"doc_id": [str(k) for k in range(len(docs))],
+         "spans": [d[0] for d in docs], "ref_spans": [d[1] for d in docs]},
+        schema=CORPUS_SCHEMA)
+    table = pa.concat_tables([table.slice(0, cut), table.slice(cut)]).slice(lo)
+
+    def chars(spans):
+        return sum(len(s["text"] or "") for s in spans or [])
+
+    want = [chars(d[0]) * chars(d[1]) for d in docs[lo:]]
+    got = _doc_cells(table)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
 # ---------------------------------------------------------------------------
 # Codec properties: PNG/WAV round-trips on arbitrary pixel/sample data
 # (the deterministic-fixture tests pin the oracle values; these pin the
