@@ -12,10 +12,11 @@ reference (``/root/reference/nmalign/lib/align.py:17-243``):
 * cutoff semantics: plain break without splits, column-blacklist with
   splits (``align.py:147-153``).
 
-Everything here is a pure function of its inputs — no Ray, no I/O — so it
-serves both as the per-document kernel that each range task of the Ray
-pipeline calls in process and as the single-process fixture ORACLE the
-pipeline is judged against.
+Everything here is a pure function of its inputs — no Ray, no I/O.
+``match`` aligns one pair of lists and is the single-process fixture
+ORACLE the pipeline is judged against; ``match_many`` runs the greedy
+loops of many pairs in lock-step, bit-identical to ``match`` per pair,
+and is what each range task of the Ray pipeline calls in process.
 
 Intentionally dropped surface: the reference's interactive pair-approval
 prompts (``align.py:131-146``) cannot exist in a distributed batch engine;
@@ -107,8 +108,7 @@ def match(
         )
     normalization, cutoff = config.normalization, config.cutoff
     try_subseg, denylist = config.try_subseg, config.denylist
-    if len(l1) == 0 or len(l2) == 0:
-        raise ValueError("both string lists must be non-empty")
+    _check_job(l1, l2, sim)
     n1, n2 = len(l1), len(l2)
 
     preprocess = make_preprocessor(normalization)
@@ -116,9 +116,9 @@ def match(
         sim = levenshtein_cdist(l1, l2, score_cutoff=cutoff,
                                 processor=preprocess)
     else:
-        # precomputed by the batched kernel (levenshtein_cdist_many over a
-        # whole slice of documents — bit-identical to the line above); copy
-        # so the denylist writes below never alias the caller's array
+        # precomputed (levenshtein_cdist_many is bit-identical to the line
+        # above); copy so the denylist writes below never alias the
+        # caller's array
         sim = np.array(sim, dtype=np.float32, copy=True)
     for i1, i2 in denylist:
         sim[i1, i2] = -np.inf
@@ -191,6 +191,214 @@ def match(
     if try_subseg:
         return np.stack([out_idx, out_beg, out_end]), scores
     return out_idx, scores
+
+
+def _check_job(l1, l2, sim) -> None:
+    if len(l1) == 0 or len(l2) == 0:
+        raise ValueError("both string lists must be non-empty")
+    if sim is not None and np.shape(sim) != (len(l1), len(l2)):
+        raise ValueError(
+            f"sim has shape {np.shape(sim)}, not (len(l1), len(l2)) = "
+            f"{(len(l1), len(l2))}")
+
+
+def match_many(jobs, sims, config: AlignConfig):
+    """``[match(l1, l2, config=config, sim=sim), ...]`` over many
+    ``(l1, l2)`` jobs and their precomputed similarity matrices,
+    bit-identical per job.
+
+    The greedy loops of the jobs run in lock-step: one iteration
+    advances every still-running job of a size group (see
+    :func:`_lockstep_groups`) with one set of numpy calls over padded
+    ``(jobs, n1, n2)`` arrays, so the number of numpy calls does not
+    grow with the number of jobs.  Subsegmentation stays per job
+    (:func:`match_subseg`).  :func:`match` is the reference it is
+    tested against.
+    """
+    if len(jobs) != len(sims):
+        raise ValueError(f"{len(jobs)} jobs but {len(sims)} sims")
+    for (l1, l2), sim in zip(jobs, sims):
+        _check_job(l1, l2, sim)
+    preprocess = make_preprocessor(config.normalization)
+    out = [None] * len(jobs)
+    for group in _lockstep_groups([(len(l1), len(l2)) for l1, l2 in jobs]):
+        results = _match_lockstep([jobs[k] for k in group],
+                                  [sims[k] for k in group], config, preprocess)
+        for k, res in zip(group, results):
+            out[k] = res
+    return out
+
+
+# Upper bound on the padded cells of one lock-step group: every array
+# of the group's greedy loop is at most this large, whatever the input.
+GROUP_CELLS = 1 << 15
+
+
+def _lockstep_groups(shapes):
+    """Job indices, grouped for :func:`_match_lockstep`: by ``n1``
+    descending, each group holding at most ``GROUP_CELLS`` padded cells
+    and at most twice its real cells.  A job too big to share forms a
+    group of one."""
+    groups, group = [], []
+    for k in sorted(range(len(shapes)), key=lambda k: -shapes[k][0]):
+        n1, n2 = shapes[k]
+        if group:
+            cols = max(cols, n2)
+            padded = (len(group) + 1) * rows * cols
+            if padded <= GROUP_CELLS and padded <= 2 * (real + n1 * n2):
+                group.append(k)
+                real += n1 * n2
+                continue
+            groups.append(group)
+        group, rows, cols, real = [k], n1, n2, n1 * n2
+    if group:
+        groups.append(group)
+    return groups
+
+
+def _coverage(n1: np.ndarray, rows: int) -> np.ndarray:
+    """:func:`match`'s sigmoid coverage term for each job's ``n1`` (axis
+    0) and each count of alive rows 0..``rows`` (axis 1; counts over
+    ``n1`` repeat ``n1``'s entry).  Each entry's bytes equal the scalar
+    expression's: tests/test_lockstep.py checks every ``n1 <= 1024``."""
+    alive = np.minimum(np.arange(rows + 1), n1[:, None])
+    return 0.5 / (1.0 + np.exp(5.0 * (0.5 - (1.0 - alive / n1[:, None]))))
+
+
+def _match_lockstep(jobs, sims, config: AlignConfig, preprocess):
+    """The greedy loop of :func:`match` over a group of jobs in
+    lock-step.  Job ``g``'s cells sit at ``[g, :n1, :n2]`` of the
+    padded arrays; each iteration compresses them to the union of the
+    running jobs' alive rows and columns, so a group of one does the
+    compressed work of :func:`match`."""
+    cutoff, try_subseg = config.cutoff, config.try_subseg
+    g = len(jobs)
+    n1 = np.array([len(l1) for l1, _ in jobs], dtype=np.int64)
+    n2 = np.array([len(l2) for _, l2 in jobs], dtype=np.int64)
+    R, C = int(n1.max()), int(n2.max())
+    sim = np.zeros((g, R, C), dtype=np.float32)
+    len2 = np.zeros((g, C), dtype=np.float64)
+    for k, ((l1, l2), s) in enumerate(zip(jobs, sims)):
+        mine = sim[k, : n1[k], : n2[k]]
+        mine[...] = s
+        for i1, i2 in config.denylist:
+            mine[i1, i2] = -np.inf
+        len2[k, : n2[k]] = [len(s2) for s2 in l2]
+    # without -inf or NaN in sim no priority is -inf and no score stops
+    finite = bool(np.isfinite(sim).all())
+    cov_at = _coverage(n1, R)
+    if try_subseg:
+        # the length part of match's subsegmentation gate, per cell
+        len1 = np.zeros((g, R), dtype=np.float64)
+        spaced = np.zeros((g, C), dtype=bool)
+        for k, (l1, l2) in enumerate(jobs):
+            len1[k, : n1[k]] = [len(s1) for s1 in l1]
+            spaced[k, : n2[k]] = [" " in s2 for s2 in l2]
+        gate_at = ((spaced & (len2 > SUBSEG_LEN_MIN))[:, None, :]
+                   & (len2[:, None, :] - len1[:, :, None] > SUBSEG_LEN_MIN / 2))
+
+    rows_at = np.arange(R)
+    real1 = rows_at < n1[:, None]
+    # an assigned pair (row, column) as one integer that orders by row;
+    # hi_none stands for the sentinel pair (n1, n2): columns past n2 are
+    # padding, so (R, C) opens the same alive cells
+    row_key = rows_at * (C + 1)
+    hi_none = R * (C + 1) + C
+    alive1 = real1.copy()
+    alive2 = np.arange(C) < n2[:, None]
+    out = np.full((3, g, R), -1, dtype=np.int64)
+    out_idx, out_beg, out_end = out
+    scores = np.zeros((g, R), dtype=np.float32)
+    act = np.arange(g)  # running jobs; job k runs at most n1[k] rounds
+    rounds = 0
+    while act.size:
+        a1, a2 = alive1[act], alive2[act]
+        ur, uc = np.flatnonzero(a1.any(0)), np.flatnonzero(a2.any(0))
+        view = (sim if act.size == g else sim.take(act, 0)).take(ur, 1).take(uc, 2)
+        cov = cov_at[act, a1.sum(1)]
+
+        # The monotonicity mask of match's _monotonicity_mask, without
+        # its loop over pairs.  The assigned pairs, in l1 order and
+        # closed by the sentinel (n1, n2), cut the rows into blocks; an
+        # alive row's block spans the columns [lo, hi) between the pairs
+        # before and after it, and is empty when hi < lo.  A pair that
+        # breaks column order (its column < lo at its row) clears [its
+        # column, lo) from every block above it.
+        oi = out_idx[act]
+        assigned = real1[act] & ~a1
+        key = row_key + oi
+        lo = np.maximum.accumulate(np.where(assigned, key, -(C + 1)), axis=1) % (C + 1)
+        hi = np.minimum.accumulate(
+            np.where(assigned, key, hi_none)[:, ::-1], axis=1)[:, ::-1] % (C + 1)
+        mask = (lo[:, ur, None] <= uc) & (uc < hi[:, ur, None])
+        broken = assigned[:, 1:] & (oi[:, 1:] < lo[:, :-1])
+        if broken.any():
+            bg, br = np.nonzero(broken)  # row br + 1 of job bg breaks order
+            cleared = (oi[bg, br + 1, None] <= uc) & (uc < lo[bg, br, None])
+            hit, first = np.unique(bg, return_index=True)
+            last = np.maximum.reduceat(np.where(cleared, br[:, None] + 1, -1), first)
+            mask[hit] &= last[:, None, :] < ur[:, None]
+
+        priority = (view + cov[:, None, None] * mask) * len2.take(act, 0).take(uc, 1)[:, None, :]
+        if act.size > 1:  # alone, a job is alive in every union cell
+            priority[~(a1.take(ur, 1)[:, :, None] & a2.take(uc, 1)[:, None, :])] = -np.inf
+        flat = priority.reshape(act.size, -1)
+        best = flat.argmax(1)
+        vi, vj = np.divmod(best, uc.size)
+        i1, i2 = ur[vi], uc[vj]
+        if not finite:
+            # every alive priority -inf (denylisted): match's compressed
+            # view then takes its first row and column
+            stuck = flat[np.arange(act.size), best] == -np.inf
+            i1[stuck] = a1[stuck].argmax(1)
+            i2[stuck] = a2[stuck].argmax(1)
+        score = sim[act, i1, i2]
+        score64 = score.astype(np.float64)  # match compares float32 scalars as float64
+
+        split = np.zeros(act.size, dtype=bool)
+        if try_subseg:
+            for m in np.flatnonzero((score64 < SUBSEG_ACC_MAX) & gate_at[act, i1, i2]):
+                k, c = act[m], i2[m]
+                rows = np.flatnonzero(alive1[k])
+                subseg = match_subseg(
+                    jobs[k][0], jobs[k][1][c], sim[k, rows, c], rows,
+                    min_score=max(score[m], cutoff or 0),
+                    processor=preprocess,
+                )
+                if subseg:
+                    split[m] = True
+                    alive2[k, c] = False
+                    for si, beg, end, sscore in subseg:
+                        out_idx[k, si] = c
+                        out_beg[k, si] = beg
+                        out_end[k, si] = end
+                        scores[k, si] = sscore
+                        alive1[k, si] = False
+
+        assign = ~split if finite else ~split & np.isfinite(score64)
+        if cutoff:
+            low = assign & (score64 < cutoff)
+            assign &= ~low
+            if try_subseg:
+                alive2[act[low], i2[low]] = False  # retire the column
+        at = act[assign]
+        out_idx[at, i1[assign]] = i2[assign]
+        scores[at, i1[assign]] = score[assign]
+        alive1[at, i1[assign]] = False
+        alive2[at, i2[assign]] = False
+        # a non-finite score stops its job, and so does a low one
+        # without subsegmentation
+        going = split | assign
+        if cutoff and try_subseg:
+            going |= low
+        act = act[going]
+        rounds += 1
+        act = act[(n1[act] > rounds) & alive1[act].any(1) & alive2[act].any(1)]
+
+    if not try_subseg:
+        out = out_idx
+    return [(out[..., k, : n1[k]].copy(), scores[k, : n1[k]].copy())
+            for k in range(g)]
 
 
 def _monotonicity_mask(n1: int, n2: int, alive1: np.ndarray, out_idx: np.ndarray) -> np.ndarray:
@@ -280,7 +488,8 @@ def match_subseg(
         costs[dest_start, dest_end] = cost
         owner[dest_start, dest_end] = row
 
-    dist, pred = shortest_path_from0(costs)
+    # only the end node's distance and predecessor chain are read below
+    dist, pred = shortest_path_from0(costs, target=nodes - 1)
     # path cost -> score; must strictly beat the whole-segment match
     score = (nodes - dist[-1]) / nodes
     if score <= min_score:

@@ -22,12 +22,18 @@ import numpy as np
 NO_PRED = -9999
 
 
-def shortest_path_from0(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dijkstra from node 0 over a dense (V, V) weight matrix.
+def shortest_path_from0(
+    weights: np.ndarray, target: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra from node 0 over a dense (V, V) matrix of non-negative
+    weights.
 
     Returns ``(dist, pred)`` — float64 distances and int predecessor
     indices, matching scipy's ``shortest_path(..., indices=0,
-    return_predecessors=True)`` conventions.
+    return_predecessors=True)`` conventions.  With a ``target`` the
+    search stops once that node is settled: its ``dist``/``pred``, and
+    those of every node on its predecessor chain, are then final and
+    equal the full search's; other nodes' entries may not be.
     """
     v = weights.shape[0]
     edge = np.isfinite(weights) & (weights != 0.0)
@@ -36,16 +42,20 @@ def shortest_path_from0(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dist = np.full(v, np.inf)
     pred = np.full(v, NO_PRED, dtype=np.int64)
     dist[0] = 0.0
-    visited = np.zeros(v, dtype=bool)
+    # dist of the nodes not settled yet, inf once settled: no weight is
+    # negative, so a settled node's dist never improves
+    frontier = dist.copy()
     for _ in range(v):
-        d = np.where(visited, np.inf, dist)
-        u = int(np.argmin(d))
-        if not np.isfinite(d[u]):
+        u = int(frontier.argmin())
+        du = frontier[u]
+        if not np.isfinite(du):
             break
-        visited[u] = True
-        nd = dist[u] + w[u]
-        better = nd < dist
-        if better.any():
-            dist[better] = nd[better]
+        frontier[u] = np.inf
+        if u == target:
+            break
+        nd = du + w[u]
+        better = np.flatnonzero(nd < dist)
+        if better.size:
+            dist[better] = frontier[better] = nd[better]
             pred[better] = u
     return dist, pred

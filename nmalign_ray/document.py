@@ -3,12 +3,15 @@
 ``process_document`` is the complete per-document semantics of the
 engine: classify/extract spans (the parse cascade), salt-chunk oversized
 documents, force-align candidates against the reference segmentation
-(``align.core.match``), and emit the canonical extracted span sequence
-plus metrics.  The aligner kernel (``stages/aligner.py``), which each
-range task of the Ray pipeline calls in process, aligns every chunk with
-the same ``align_chunk``; ``oracle_table`` runs ``process_document``
-serially over a corpus table to produce golden outputs — fixture parity is therefore by
-construction, and the contract is pinned by the tests.
+(``align.core.match``, one chunk at a time), and emit the canonical
+extracted span sequence plus metrics.  ``oracle_table`` runs
+``process_document`` serially over a corpus table to produce golden
+outputs.  The aligner kernel (``stages/aligner.py``), which each range
+task of the Ray pipeline calls in process, aligns all of a slice's
+chunks in one ``align.core.match_many`` call instead, and shares only
+the span conversion (``chunk_spans``) with this module; so the oracle
+stays independent of the batched greedy loop, and the tests pin that
+both give the same bits.
 
 Output contract (judged on span-sequence equality of
 ``(kind, text, media_ref, order)`` per BASELINE.json):
@@ -34,7 +37,6 @@ Output contract (judged on span-sequence equality of
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from .align.core import AlignConfig, match
@@ -69,32 +71,34 @@ def align_chunk(
     cand_kinds: list[str],
     cand_texts: list[str],
     config: AlignConfig,
-    sim=None,
 ):
-    """Align one (salt-)chunk of candidates against its reference window.
-
-    The unit of work of the aligner kernel (``stages/aligner.AlignChunks``,
-    called in process by each range task); also the inner loop of
-    ``process_document``.  Returns
-    ``(out_spans, matched, score_sum, unmatched_cands)``.  ``sim`` is an
-    optional precomputed similarity matrix (the aligner kernel batches one
-    ``levenshtein_cdist_many`` call across a whole slice of chunks;
-    bit-identical to the per-chunk computation).
-    """
+    """Align one (salt-)chunk of candidates against its reference window
+    with the unbatched ``match``: the inner loop of ``process_document``.
+    Returns ``(out_spans, matched, score_sum, unmatched_cands)``, as
+    :func:`chunk_spans` does."""
     if not cand_texts or not ref_texts:
         return [], 0, 0.0, len(cand_texts)
-    res, scores = match(ref_texts, cand_texts, config=config, sim=sim)
-    if config.try_subseg:
-        idx, beg, end = res
+    res, scores = match(ref_texts, cand_texts, config=config)
+    return chunk_spans(res, scores, ref_offsets, cand_kinds, cand_texts)
+
+
+def chunk_spans(res, scores, ref_offsets, cand_kinds, cand_texts):
+    """One chunk's ``match`` result ``(res, scores)`` as
+    ``(out_spans, matched, score_sum, unmatched_cands)``: one span per
+    matched reference segment, in reference order.  Shared by
+    :func:`align_chunk` and the aligner kernel
+    (``stages/aligner.AlignChunks``, which gets ``res, scores`` from
+    ``align.core.match_many``)."""
+    if res.ndim == 2:  # try_subseg: (idx, beg, end)
+        idx, beg, end = res.tolist()
     else:
-        idx = res
-        beg = end = np.full(len(ref_texts), -1, dtype=np.int64)
+        idx = res.tolist()
+        beg = end = [-1] * len(idx)
+    scores = scores.tolist()
     out = []
     assigned = set()
-    matched = 0
     score_sum = 0.0
-    for i in range(len(ref_texts)):
-        j = int(idx[i])
+    for i, j in enumerate(idx):
         if j < 0:
             continue
         assigned.add(j)
@@ -109,9 +113,8 @@ def align_chunk(
                 "offset": int(ref_offsets[i]),
             }
         )
-        matched += 1
-        score_sum += float(scores[i])
-    return out, matched, score_sum, len(cand_texts) - len(assigned)
+        score_sum += scores[i]
+    return out, len(out), score_sum, len(cand_texts) - len(assigned)
 
 
 def process_document(

@@ -1,9 +1,12 @@
 """Aligner kernel: chunk rows -> aligned span rows, in process.
 
-``AlignChunks(config)(chunks)`` aligns every chunk of a batch with
-``document.align_chunk`` — the function the serial oracle uses, which is
-what guarantees fixture parity — after ONE batched similarity pass over
-all of the batch's chunks.  The extraction plan calls it inside each
+``AlignChunks(config)(chunks)`` aligns every chunk of a batch with ONE
+batched similarity pass (``levenshtein_cdist_many``) and ONE lock-step
+greedy pass (``align.core.match_many``) over all of the batch's chunks,
+then turns each chunk's result into spans with ``document.chunk_spans``,
+the conversion the serial oracle uses.  The oracle itself aligns one
+chunk at a time with ``match``; the tests hold both to the same bits.
+The extraction plan calls it inside each
 pid range's task, once per slice of one partition's documents
 (``pipelines/checkpoint.py::_partition_slices``), and in the task of
 a heavy document sent off on its own (``checkpoint.py::_align_alone``);
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..align.core import AlignConfig, make_preprocessor
-from ..document import align_chunk
+from ..align.core import AlignConfig, make_preprocessor, match_many
+from ..document import chunk_spans
 from ..fuzzy.levenshtein import levenshtein_cdist_many
 from ..schema import SPAN_TYPE
 
@@ -58,13 +61,13 @@ class AlignChunks:
         ref_texts = batch["ref_text"].to_pylist()
         ref_offsets = batch["ref_offset"].to_pylist()
         media = batch["media"].to_pylist()
-        # ONE batched similarity pass across every chunk in the batch: the
-        # per-document matrices are tiny and numpy-call-overhead-bound, so
-        # batching them amortizes ~55% of the aligner CPU (round-5
-        # profile).  Bit-identical to the per-chunk path (integer
-        # distances, same elementwise normalization), and a pair costs
-        # its own length, not the batch's longest — pinned by
-        # tests/test_kernel_equivalence.py and the family hash oracles.
+        # One batched similarity pass and one lock-step greedy pass over
+        # every chunk of the batch: the per-chunk matrices are tiny, so
+        # one kernel call per chunk would be bound by numpy call
+        # overhead.  Both are bit-identical to the per-chunk ``match``
+        # (integer distances, elementwise normalization, the same greedy
+        # arithmetic), pinned by tests/test_kernel_equivalence.py and
+        # tests/test_lockstep.py.
         jobs = []
         job_of_row = []
         for k in range(batch.num_rows):
@@ -77,12 +80,14 @@ class AlignChunks:
             jobs, score_cutoff=self.config.cutoff,
             processor=make_preprocessor(self.config.normalization),
         ) if jobs else []
+        results = match_many(jobs, sims, self.config)
         for k in range(batch.num_rows):
-            out, matched, score_sum, unmatched = align_chunk(
-                ref_texts[k], ref_offsets[k], cand_kinds[k], cand_texts[k],
-                self.config,
-                sim=sims[job_of_row[k]] if job_of_row[k] >= 0 else None,
-            )
+            if job_of_row[k] >= 0:
+                res, scores = results[job_of_row[k]]
+                out, matched, score_sum, unmatched = chunk_spans(
+                    res, scores, ref_offsets[k], cand_kinds[k], cand_texts[k])
+            else:
+                out, matched, score_sum, unmatched = [], 0, 0.0, len(cand_texts[k])
             rows["doc_id"].append(doc_ids[k])
             rows["pid"].append(pids[k])
             rows["salt"].append(salts[k])
