@@ -158,10 +158,10 @@ def _extract_query(sf_dir: str, families):
     the shared body of the single-family ``extract_align_*`` driver
     queries.  Same plan and default ``EngineConfig()`` as the flagship:
     the ``sort("pid")`` exchange on the input rows into one block per CPU
-    (an empty one, then pid ranges), then one task per block that
+    (``min(P, CPUs)`` contiguous pid ranges), then one task per block that
     extracts, aligns and reassembles the documents of each of its
-    partitions; only
-    the sink differs (the lazy Dataset instead of the checkpoint)."""
+    partitions; only the sink differs (the lazy Dataset instead of the
+    checkpoint)."""
     from nmalign_ray.pipelines import build_extract_pipeline
     from nmalign_ray.schema import EngineConfig
 

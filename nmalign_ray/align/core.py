@@ -19,17 +19,16 @@ loops of many pairs in lock-step, bit-identical to ``match`` per pair,
 and is what each range task of the Ray pipeline calls in process.
 
 Intentionally dropped surface: the reference's interactive pair-approval
-prompts (``align.py:131-146``) cannot exist in a distributed batch engine;
-the equivalent programmatic hook is the ``denylist`` parameter (pairs
-scored ``-inf`` up front, the same mechanism the reference uses on an
-interactive reject at ``align.py:145``).
+prompts (``align.py:131-146``) cannot exist in a distributed batch engine,
+and no programmatic stand-in for them is kept: every similarity is finite,
+so every greedy round assigns or retires a pair.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class AlignConfig:
     normalization: dict[str, str] | None = None  # ordered regex -> replacement
     cutoff: float | None = None  # minimum acceptable score
     try_subseg: bool = False  # allow 1:n splits of l2 segments
-    denylist: frozenset = field(default_factory=frozenset)  # {(i1, i2)} forbidden pairs
 
 
 _REGEX_CACHE: dict[str, re.Pattern] = {}
@@ -85,9 +83,7 @@ def match(
     normalization: dict[str, str] | None = None,
     cutoff: float | None = None,
     try_subseg: bool = False,
-    denylist: frozenset = frozenset(),
     config: AlignConfig | None = None,
-    sim: np.ndarray | None = None,
 ):
     """Force-align string list ``l1`` (reference segmentation, "to be
     replaced") to ``l2`` (replacements).
@@ -98,30 +94,20 @@ def match(
     (-1 when the whole segment matched).  ``scores`` is float32 in [0, 1].
 
     Semantics per the reference ``match`` (``align.py:17-166``); the
-    ``workers``/``interactive`` parameters of the reference are replaced
-    by cross-document parallelism and ``denylist`` respectively.
+    reference's ``workers`` parameter is replaced by cross-document
+    parallelism, and its ``interactive`` one is dropped (module
+    docstring).
     """
     if config is None:
         config = AlignConfig(
-            normalization=normalization, cutoff=cutoff,
-            try_subseg=try_subseg, denylist=denylist,
-        )
+            normalization=normalization, cutoff=cutoff, try_subseg=try_subseg)
     normalization, cutoff = config.normalization, config.cutoff
-    try_subseg, denylist = config.try_subseg, config.denylist
-    _check_job(l1, l2, sim)
+    try_subseg = config.try_subseg
+    _check_job(l1, l2)
     n1, n2 = len(l1), len(l2)
 
     preprocess = make_preprocessor(normalization)
-    if sim is None:
-        sim = levenshtein_cdist(l1, l2, score_cutoff=cutoff,
-                                processor=preprocess)
-    else:
-        # precomputed (levenshtein_cdist_many is bit-identical to the line
-        # above); copy so the denylist writes below never alias the
-        # caller's array
-        sim = np.array(sim, dtype=np.float32, copy=True)
-    for i1, i2 in denylist:
-        sim[i1, i2] = -np.inf
+    sim = levenshtein_cdist(l1, l2, score_cutoff=cutoff, processor=preprocess)
 
     alive1 = np.ones(n1, dtype=bool)  # not yet assigned (l1 side)
     alive2 = np.ones(n2, dtype=bool)  # not yet consumed (l2 side)
@@ -173,11 +159,6 @@ def match(
                 scores[si] = sscore
                 alive1[si] = False
         else:
-            if not np.isfinite(score):
-                # every remaining choice is denylisted (-inf): stop rather
-                # than assign a forbidden pair (the reference's interactive
-                # reject would simply never accept it, align.py:145)
-                break
             if cutoff and score < cutoff:
                 if not try_subseg:
                     break  # every later match only scores worse (align.py:147-150)
@@ -193,19 +174,23 @@ def match(
     return out_idx, scores
 
 
-def _check_job(l1, l2, sim) -> None:
+def _check_job(l1, l2, sim=None) -> None:
     if len(l1) == 0 or len(l2) == 0:
         raise ValueError("both string lists must be non-empty")
-    if sim is not None and np.shape(sim) != (len(l1), len(l2)):
+    if sim is None:
+        return
+    if np.shape(sim) != (len(l1), len(l2)):
         raise ValueError(
             f"sim has shape {np.shape(sim)}, not (len(l1), len(l2)) = "
             f"{(len(l1), len(l2))}")
+    if not np.isfinite(sim).all():
+        raise ValueError("sim holds a non-finite similarity")
 
 
 def match_many(jobs, sims, config: AlignConfig):
-    """``[match(l1, l2, config=config, sim=sim), ...]`` over many
-    ``(l1, l2)`` jobs and their precomputed similarity matrices,
-    bit-identical per job.
+    """``[match(l1, l2, config=config), ...]`` over many ``(l1, l2)``
+    jobs, given their similarity matrices (``levenshtein_cdist_many``'s,
+    bit-identical to the one ``match`` computes), bit-identical per job.
 
     The greedy loops of the jobs run in lock-step: one iteration
     advances every still-running job of a size group (see
@@ -279,13 +264,8 @@ def _match_lockstep(jobs, sims, config: AlignConfig, preprocess):
     sim = np.zeros((g, R, C), dtype=np.float32)
     len2 = np.zeros((g, C), dtype=np.float64)
     for k, ((l1, l2), s) in enumerate(zip(jobs, sims)):
-        mine = sim[k, : n1[k], : n2[k]]
-        mine[...] = s
-        for i1, i2 in config.denylist:
-            mine[i1, i2] = -np.inf
+        sim[k, : n1[k], : n2[k]] = s
         len2[k, : n2[k]] = [len(s2) for s2 in l2]
-    # without -inf or NaN in sim no priority is -inf and no score stops
-    finite = bool(np.isfinite(sim).all())
     cov_at = _coverage(n1, R)
     if try_subseg:
         # the length part of match's subsegmentation gate, per cell
@@ -342,16 +322,8 @@ def _match_lockstep(jobs, sims, config: AlignConfig, preprocess):
         priority = (view + cov[:, None, None] * mask) * len2.take(act, 0).take(uc, 1)[:, None, :]
         if act.size > 1:  # alone, a job is alive in every union cell
             priority[~(a1.take(ur, 1)[:, :, None] & a2.take(uc, 1)[:, None, :])] = -np.inf
-        flat = priority.reshape(act.size, -1)
-        best = flat.argmax(1)
-        vi, vj = np.divmod(best, uc.size)
+        vi, vj = np.divmod(priority.reshape(act.size, -1).argmax(1), uc.size)
         i1, i2 = ur[vi], uc[vj]
-        if not finite:
-            # every alive priority -inf (denylisted): match's compressed
-            # view then takes its first row and column
-            stuck = flat[np.arange(act.size), best] == -np.inf
-            i1[stuck] = a1[stuck].argmax(1)
-            i2[stuck] = a2[stuck].argmax(1)
         score = sim[act, i1, i2]
         score64 = score.astype(np.float64)  # match compares float32 scalars as float64
 
@@ -375,7 +347,7 @@ def _match_lockstep(jobs, sims, config: AlignConfig, preprocess):
                         scores[k, si] = sscore
                         alive1[k, si] = False
 
-        assign = ~split if finite else ~split & np.isfinite(score64)
+        assign = ~split
         if cutoff:
             low = assign & (score64 < cutoff)
             assign &= ~low
@@ -386,8 +358,7 @@ def _match_lockstep(jobs, sims, config: AlignConfig, preprocess):
         scores[at, i1[assign]] = score[assign]
         alive1[at, i1[assign]] = False
         alive2[at, i2[assign]] = False
-        # a non-finite score stops its job, and so does a low one
-        # without subsegmentation
+        # a low score without subsegmentation stops its job
         going = split | assign
         if cutoff and try_subseg:
             going |= low
@@ -456,7 +427,8 @@ def match_subseg(
     sas = partial_ratio_alignment_many([(c, seg2_proc) for c in cand_strs])
     scores64 = np.array([sa.score for sa in sas], dtype=np.float64)
     # cdist score_cutoff semantics: the cutoff compares the float64 score,
-    # the matrix stores float32 (fuzzy/partial.py::partial_ratio_cdist)
+    # the matrix stores float32 (the reference's partial_ratio cdist,
+    # align.py:181-182)
     pr = np.where(scores64 >= PARTIAL_ACC_MIN, scores64, 0.0).astype(
         np.float32
     ).reshape(-1, 1)

@@ -40,8 +40,8 @@ from __future__ import annotations
 import pyarrow as pa
 
 from .align.core import AlignConfig, match
-from .extract import classify_spans
-from .schema import MEDIA_KINDS, OUTPUT_SCHEMA
+from .extract import classify_spans, is_media
+from .schema import OUTPUT_SCHEMA, SALT_THRESHOLD
 
 
 def salt_chunks(n_cands: int, n_refs: int, threshold: int):
@@ -63,6 +63,23 @@ def salt_chunks(n_cands: int, n_refs: int, threshold: int):
         r_hi = (k + 1) * n_refs // nchunks
         out.append((c_lo, c_hi, r_lo, r_hi))
     return out
+
+
+def reference_segments(ref_spans: list[dict]) -> list[dict]:
+    """One document's reference segments to align against: its
+    ``ref_spans`` without media spans (``extract.is_media``), stably
+    sorted by offset."""
+    refs = [r for r in ref_spans
+            if not is_media(r["kind"], r["text"], r["media_ref"])]
+    refs.sort(key=lambda r: r["offset"])
+    return refs
+
+
+def media_spans(media) -> list[dict]:
+    """``classify_spans``' media markers as output span dicts
+    ``(kind, "", media_ref, offset)``."""
+    return [{"kind": m.kind, "text": "", "media_ref": m.media_ref, "offset": m.offset}
+            for m in media]
 
 
 def align_chunk(
@@ -121,7 +138,7 @@ def process_document(
     spans: list[dict],
     ref_spans: list[dict],
     config: AlignConfig | None = None,
-    salt_threshold: int = 256,
+    salt_threshold: int = SALT_THRESHOLD,
 ):
     """Extract + align one document.
 
@@ -138,16 +155,8 @@ def process_document(
         [s["media_ref"] for s in spans],
         [s["offset"] for s in spans],
     )
-    refs = [
-        r for r in ref_spans
-        if r["kind"] not in MEDIA_KINDS and not (r["media_ref"] and not r["text"])
-    ]
-    refs.sort(key=lambda r: r["offset"])
-
-    out = [
-        {"kind": m.kind, "text": "", "media_ref": m.media_ref, "offset": m.offset}
-        for m in media
-    ]
+    refs = reference_segments(ref_spans)
+    out = media_spans(media)
     n_matched = 0
     score_sum = 0.0
     unmatched_cands = 0
@@ -182,7 +191,7 @@ def process_document(
 def oracle_table(
     corpus: pa.Table,
     config: AlignConfig | None = None,
-    salt_threshold: int = 256,
+    salt_threshold: int = SALT_THRESHOLD,
 ) -> pa.Table:
     """Golden output for a corpus table: ``process_document`` run serially
     (the single-process fixture oracle of SURVEY §5.2)."""

@@ -71,6 +71,14 @@ KIND_REGISTRY = {
 }
 
 
+def is_media(kind: str, text: str, media_ref: str) -> bool:
+    """The media rule: a span is an opaque media marker when its kind is a
+    media kind, or when it carries a ``media_ref`` and no text.  Applied
+    alike to input spans (here) and to reference spans
+    (``document.reference_segments``)."""
+    return kind in MEDIA_KINDS or bool(media_ref and not text)
+
+
 def classify_spans(kinds, texts, media_refs, offsets):
     """Classify one document's spans into ``(candidates, media_markers)``.
 
@@ -87,7 +95,7 @@ def classify_spans(kinds, texts, media_refs, offsets):
     media: list[MediaMarker] = []
     for k in order:
         kind = kinds[k]
-        if kind in MEDIA_KINDS or (media_refs[k] and not texts[k]):
+        if is_media(kind, texts[k], media_refs[k]):
             media.append(MediaMarker(kind, media_refs[k], int(offsets[k])))
             continue
         classifier = KIND_REGISTRY.get(kind, _classify_text)

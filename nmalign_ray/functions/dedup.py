@@ -262,7 +262,7 @@ def minhash_candidate_pairs(
         _partial(minhash_band_rows, num_shards=nshards),
         batch_format="pyarrow",
     )
-    pairs = bands.groupby("shard", num_partitions=min(nshards, 64)).map_groups(
+    pairs = bands.groupby("shard").map_groups(
         _partial(_shard_bucket_pairs, on_truncate=on_truncate),
         batch_format="pyarrow",
     )
@@ -313,9 +313,8 @@ def _distinct_pairs(pairs: ray.data.Dataset) -> ray.data.Dataset:
                 take.append(k)
         return g.take(pa.array(take, pa.int64())).drop_columns(["pshard"])
 
-    return pairs.map_batches(tag, batch_format="pyarrow").groupby(
-        "pshard", num_partitions=min(nshards, 64)
-    ).map_groups(dedupe, batch_format="pyarrow")
+    return (pairs.map_batches(tag, batch_format="pyarrow")
+            .groupby("pshard").map_groups(dedupe, batch_format="pyarrow"))
 
 
 def jaccard(a: set, b: set) -> float:
@@ -430,9 +429,8 @@ def _member_bloom(pairs: ray.data.Dataset, n_member_rows: int):
             {"slice": pa.array([sl], pa.int64()),
              "bits": pa.array([buf.tobytes()], pa.binary())})
 
-    parts = pairs.map_batches(positions, batch_format="pyarrow").groupby(
-        "slice", num_partitions=width
-    ).map_groups(or_slice, batch_format="pyarrow")
+    parts = (pairs.map_batches(positions, batch_format="pyarrow")
+             .groupby("slice").map_groups(or_slice, batch_format="pyarrow"))
     bitset = bytearray(nbits // 8)
     step = slice_bits // 8
     for b in parts.iter_batches(batch_format="pyarrow"):
@@ -578,9 +576,8 @@ def minhash_near_dups(
              "shingles": pa.array(sh_out, pa.list_(pa.string()))}
         )
 
-    sides = tagged.map_batches(add_dshard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(attach_shard, batch_format="pyarrow")
+    sides = (tagged.map_batches(add_dshard, batch_format="pyarrow")
+             .groupby("shard").map_groups(attach_shard, batch_format="pyarrow"))
 
     def add_pshard(batch: pa.Table) -> pa.Table:
         a = _id_shard_col(batch["pair_a"], width).to_numpy(
@@ -617,9 +614,8 @@ def minhash_near_dups(
              "jaccard": pa.array(j_out, pa.float64())}
         )
 
-    return sides.map_batches(add_pshard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(verify_shard, batch_format="pyarrow")
+    return (sides.map_batches(add_pshard, batch_format="pyarrow")
+            .groupby("shard").map_groups(verify_shard, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +740,8 @@ def simhash_near_dups(ds: ray.data.Dataset, max_hamming: int = 3,
         )
 
     sigs = simhash_signatures(ds)
-    pairs = sigs.map_batches(band_rows, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(nshards, 64)
-    ).map_groups(shard_pairs, batch_format="pyarrow")
+    pairs = (sigs.map_batches(band_rows, batch_format="pyarrow")
+             .groupby("shard").map_groups(shard_pairs, batch_format="pyarrow"))
     # distinct pairs: hamming is a pure function of the pair, so the
     # coarse-shard keep-first dedupe is value-exact
     return _distinct_pairs(pairs)
@@ -897,9 +892,8 @@ def shingle_novelty(ds: ray.data.Dataset) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
-    partials = ds.map_batches(shingle_rows, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(nshards, 64)
-    ).map_groups(shard_counts, batch_format="pyarrow")
+    partials = (ds.map_batches(shingle_rows, batch_format="pyarrow")
+                .groupby("shard").map_groups(shard_counts, batch_format="pyarrow"))
     agg = partials.groupby("doc_id").aggregate(
         Sum("n_shingles", alias_name="n_shingles"),
         Sum("n_unique", alias_name="n_unique"),
@@ -971,7 +965,7 @@ def dedup_keepers(ds: ray.data.Dataset) -> ray.data.Dataset:
              "n_chars": g["n_chars"].take(take)}
         )
 
-    return hashed.groupby("shard", num_partitions=min(width, 64)).map_groups(
+    return hashed.groupby("shard").map_groups(
         keep_min_shard, batch_format="pyarrow"
     )
 
@@ -1090,12 +1084,14 @@ def connected_groups(
         )
 
     edges = pairs.map_batches(edge_rows, batch_format="pyarrow").materialize()
-    # width-to-data: each round schedules O(num_partitions) tasks across
-    # two groupbys and three unions, a FIXED per-round cost; near-dup
-    # edge sets are usually tiny relative to the corpus, so clamp the
-    # shuffle width to the edge count (>=50k edges per partition) with
-    # the caller's value as the ceiling — at 94 edges this cuts
-    # per-round task count 4x (measured 10.1 s -> see BASELINE r3)
+    # width-to-data: _pin repartitions the labels into num_partitions
+    # blocks, and each round's two groupbys sort their input with one task
+    # per input block, so a round's task count grows with num_partitions,
+    # a FIXED per-round cost; near-dup edge sets are usually tiny
+    # relative to the corpus, so clamp the repartition width to the edge
+    # count (>=50k edges per partition) with the caller's value as the
+    # ceiling — at 94 edges this cuts per-round task count 4x (measured
+    # 10.1 s -> see BASELINE r3)
     n_edges = edges.count()
     num_partitions = max(8, min(num_partitions, -(-n_edges // 50_000)))
     if n_edges == 0:
@@ -1228,11 +1224,11 @@ def connected_groups(
             .union(labels.map_batches(to_jump_ask, batch_format="pyarrow"))
             .union(labels.map_batches(to_label_side, batch_format="pyarrow"))
         )
-        prop = cogrouped.groupby("node", num_partitions=num_partitions).map_groups(
+        prop = cogrouped.groupby("node").map_groups(
             propagate, batch_format="pyarrow"
         )
         labels = _pin(
-            prop.groupby("doc_id", num_partitions=num_partitions)
+            prop.groupby("doc_id")
             .aggregate(Min("group_id", alias_name="group_id"))
         )
         checksum = _label_checksum(labels)
@@ -1422,9 +1418,8 @@ def chunk_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    return both.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(rebuild_shard, batch_format="pyarrow")
+    return (both.map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard").map_groups(rebuild_shard, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -1559,9 +1554,8 @@ def decontaminate(
              "hit": pa.array(
                  hit.to_numpy()[keep].astype(np.int64), pa.int64())})
 
-    per_chunk = both.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(mark_shard, batch_format="pyarrow")
+    per_chunk = (both.map_batches(add_shard, batch_format="pyarrow")
+                 .groupby("shard").map_groups(mark_shard, batch_format="pyarrow"))
     from ray.data.aggregate import Sum
 
     agg = per_chunk.groupby("doc_id").aggregate(
@@ -1839,7 +1833,7 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
 
     marks = (
         ds.map_batches(occ_rows, batch_format="pyarrow")
-        .groupby("shard", num_partitions=min(width, 64))
+        .groupby("shard")
         .map_groups(dup_starts, batch_format="pyarrow")
     )
 
@@ -1891,6 +1885,5 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
              "dup_frac": pa.array(fr, pa.float64()),
              "clean_text": pa.array(ct, pa.string())})
 
-    return both.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(rebuild, batch_format="pyarrow")
+    return (both.map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard").map_groups(rebuild, batch_format="pyarrow"))

@@ -133,9 +133,9 @@ def _build_edges(pairs: ray.data.Dataset,
                              "deg": deg})
 
     return (pairs
-            .groupby("shard", num_partitions=max(32, cluster_cpus()))
+            .groupby("shard")
             .map_groups(pair_distinct, batch_format="pandas")
-            .groupby("shard", num_partitions=max(32, cluster_cpus()))
+            .groupby("shard")
             .map_groups(annotate_deg, batch_format="pandas")
             .materialize())
 
@@ -189,7 +189,6 @@ def pagerank(lineitem: ray.data.Dataset,
     of ``2 * iters`` (measured: each Ray sort exchange costs seconds of
     barrier wall regardless of these row volumes)."""
     width = _width()
-    nparts = max(32, cluster_cpus())
     pairs = _pair_rows(lineitem, width)
     if driver_max > 0:
         # the large-graph fallthrough rebuilds its edges from these same
@@ -286,8 +285,8 @@ def pagerank(lineitem: ray.data.Dataset,
     for _ in range(iters - 1):
         mixed = edges.map_batches(edge_rows, batch_format="pyarrow") \
                      .union(partials)
-        partials = (mixed.groupby("shard", num_partitions=nparts)
+        partials = (mixed.groupby("shard")
                     .map_groups(update_and_contrib, batch_format="pandas"))
 
-    return (partials.groupby("shard", num_partitions=nparts)
+    return (partials.groupby("shard")
             .map_groups(update_and_project, batch_format="pandas"))

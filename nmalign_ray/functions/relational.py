@@ -260,7 +260,7 @@ def _cogroup_revenue_join(
     tagged = orders.map_batches(fact_rows, batch_format="pyarrow").union(
         dim.map_batches(dim_rows, batch_format="pyarrow")
     )
-    partials = tagged.groupby("shard", num_partitions=min(width, 64)).map_groups(
+    partials = tagged.groupby("shard").map_groups(
         per_shard, batch_format="pyarrow"
     )
 
@@ -423,9 +423,8 @@ def _inactive_customers_cogroup(
         cust_rows, batch_format="pyarrow"
     ).union(urgent.map_batches(marker_rows, batch_format="pyarrow"))
     return _anti_to_pandas(
-        tagged.map_batches(add_shard, batch_format="pyarrow").groupby(
-            "shard", num_partitions=min(width, 64)
-        ).map_groups(anti_shard, batch_format="pyarrow")
+        (tagged.map_batches(add_shard, batch_format="pyarrow")
+         .groupby("shard").map_groups(anti_shard, batch_format="pyarrow"))
     )
 
 
@@ -632,9 +631,8 @@ def sessionize(events: ray.data.Dataset, gap_minutes: int = 30) -> ray.data.Data
                 for _, sub in g.groupby("user_id", sort=True)]
         return pd.concat(outs, ignore_index=True)
 
-    return events.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(width, 64)
-    ).map_groups(per_shard, batch_format="pandas")
+    return (events.map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard").map_groups(per_shard, batch_format="pandas"))
 
 
 # As-of join (trades/quotes shape): "probe" events (event_id % 10 == 0)
@@ -736,7 +734,7 @@ def asof_join(events: ray.data.Dataset, probe_mod: int = 10) -> ray.data.Dataset
 
     return events.map_batches(tag, batch_format="pyarrow").map_batches(
         add_shard, batch_format="pyarrow"
-    ).groupby("shard", num_partitions=min(width, 64)).map_groups(
+    ).groupby("shard").map_groups(
         per_shard, batch_format="pandas")
 
 
@@ -763,8 +761,7 @@ def value_quantiles(events: ray.data.Dataset) -> ray.data.Dataset:
     then an in-shard vectorized lexsort + segment index selection
     (discrete quantiles — selection, not interpolation, so no float
     arithmetic can diverge from the SQL twin)."""
-    cpus = cluster_cpus()
-    width = max(32, cpus * 4)
+    width = max(32, cluster_cpus() * 4)
 
     def tag(batch: pa.Table) -> pa.Table:
         keys = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -796,9 +793,8 @@ def value_quantiles(events: ray.data.Dataset) -> ray.data.Dataset:
              "p90": val_s[starts + np.floor((n - 1) * 0.9).astype(np.int64)]}
         )
 
-    return events.map_batches(tag, batch_format="pyarrow").groupby(
-        "shard", num_partitions=max(32, cpus)
-    ).map_groups(per_shard, batch_format="pandas")
+    return (events.map_batches(tag, batch_format="pyarrow")
+            .groupby("shard").map_groups(per_shard, batch_format="pandas"))
 
 
 NATION_REVENUE_SQL = """
@@ -1205,8 +1201,7 @@ WHERE rnk <= {GROUPED_TOPK_K}
 def grouped_topk(orders: ray.data.Dataset, k: int = GROUPED_TOPK_K
                  ) -> ray.data.Dataset:
     """Top-k orders per customer by (o_totalprice DESC, o_orderkey)."""
-    cpus = cluster_cpus()
-    width = max(32, cpus * 4)
+    width = max(32, cluster_cpus() * 4)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pa.Table.from_arrays(
@@ -1234,9 +1229,8 @@ def grouped_topk(orders: ray.data.Dataset, k: int = GROUPED_TOPK_K
                  g["o_totalprice"].to_numpy(dtype=np.float64), 3)}
         )
 
-    return orders.map_batches(partial, batch_format="pyarrow").groupby(
-        "shard", num_partitions=max(32, cpus)
-    ).map_groups(per_shard, batch_format="pandas")
+    return (orders.map_batches(partial, batch_format="pyarrow")
+            .groupby("shard").map_groups(per_shard, batch_format="pandas"))
 
 
 # ---------------------------------------------------------------------------
@@ -1263,8 +1257,7 @@ FROM orders
 
 def running_totals(orders: ray.data.Dataset) -> ray.data.Dataset:
     """Cumulative per-customer revenue in (o_orderdate, o_orderkey) order."""
-    cpus = cluster_cpus()
-    width = max(32, cpus * 4)
+    width = max(32, cluster_cpus() * 4)
 
     def add_shard(batch: pa.Table) -> pa.Table:
         shard = pa.array(
@@ -1298,10 +1291,9 @@ def running_totals(orders: ray.data.Dataset) -> ray.data.Dataset:
             idx, "o_orderdate",
             pc.cast(batch["o_orderdate"], pa.timestamp("us")))
 
-    return orders.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=max(32, cpus)
-    ).map_groups(per_shard, batch_format="pandas").map_batches(
-        pin_types, batch_format="pyarrow")
+    return (orders.map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard").map_groups(per_shard, batch_format="pandas")
+            .map_batches(pin_types, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -1365,11 +1357,8 @@ def range_join(events: ray.data.Dataset, probe_mod: int = RANGE_JOIN_MOD
         return batch.set_column(
             idx, "ts", pc.cast(batch["ts"], pa.timestamp("us")))
 
-    cpus = cluster_cpus()
-    return events.groupby(
-        "user_id", num_partitions=max(32, cpus)
-    ).map_groups(per_user, batch_format="pandas").map_batches(
-        pin_types, batch_format="pyarrow")
+    return (events.groupby("user_id").map_groups(per_user, batch_format="pandas")
+            .map_batches(pin_types, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -1462,8 +1451,7 @@ GROUP BY user_id, date_trunc('hour', ts)
 
 def hourly_distinct(events: ray.data.Dataset) -> ray.data.Dataset:
     """Distinct event types per user per hour."""
-    cpus = cluster_cpus()
-    width = max(32, cpus * 4)
+    width = max(32, cluster_cpus() * 4)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -1488,10 +1476,9 @@ def hourly_distinct(events: ray.data.Dataset) -> ray.data.Dataset:
         return batch.set_column(
             idx, "hour", pc.cast(batch["hour"], pa.timestamp("us")))
 
-    return events.map_batches(partial, batch_format="pyarrow").groupby(
-        "shard", num_partitions=max(32, cpus)
-    ).map_groups(per_shard, batch_format="pandas").map_batches(
-        pin_types, batch_format="pyarrow")
+    return (events.map_batches(partial, batch_format="pyarrow")
+            .groupby("shard").map_groups(per_shard, batch_format="pandas")
+            .map_batches(pin_types, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -1717,5 +1704,5 @@ def user_p90(events: ray.data.Dataset,
 
     sharded = events.select_columns(["user_id", "value"]).map_batches(
         shard, batch_format="pyarrow")
-    return sharded.groupby("shard", num_partitions=min(width, 64)).map_groups(
+    return sharded.groupby("shard").map_groups(
         per_shard, batch_format="pyarrow")

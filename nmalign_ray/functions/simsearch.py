@@ -462,12 +462,11 @@ def embedding_near_dups(
              "cosine": g["cosine"].take(take)}
         )
 
-    pairs = ds.map_batches(sig_rows, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(nshards, 64)
-    ).map_groups(shard_pairs, batch_format="pyarrow")
+    pairs = (ds.map_batches(sig_rows, batch_format="pyarrow")
+             .groupby("shard").map_groups(shard_pairs, batch_format="pyarrow"))
     # a pair can collide in several probe buckets (possibly in different
     # shards): one more coarse-shard exchange keyed on the pair
-    return pairs.groupby("pshard", num_partitions=min(nshards, 64)).map_groups(
+    return pairs.groupby("pshard").map_groups(
         dedupe_shard, batch_format="pyarrow"
     )
 
@@ -904,9 +903,8 @@ def semdedup(ds: ray.data.Dataset,
     # cluster cardinality = the quantizer's K (bounded by construction),
     # so a per-cluster group is a bounded-fan-in exchange, not the
     # per-key-dispatch trap
-    return aug.map_batches(assign, batch_format="pyarrow").groupby(
-        "cluster", num_partitions=IVF_CLUSTERS
-    ).map_groups(mark, batch_format="pyarrow")
+    return (aug.map_batches(assign, batch_format="pyarrow")
+            .groupby("cluster").map_groups(mark, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -1147,5 +1145,5 @@ def cluster_sample(ds: ray.data.Dataset, k: int = KMEANS_K,
 
     return (embed_kmeans(ds, k=k)
             .map_batches(partial, batch_format="pyarrow")
-            .groupby("cluster", num_partitions=k)
+            .groupby("cluster")
             .map_groups(final, batch_format="pyarrow"))

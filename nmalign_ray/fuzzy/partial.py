@@ -59,19 +59,6 @@ def partial_ratio(s1: str, s2: str, processor=None, score_cutoff: float | None =
     return score
 
 
-def partial_ratio_cdist(
-    l1, l2, score_cutoff: float | None = None, processor=None
-) -> np.ndarray:
-    """(N, M) float32 matrix of partial ratios — the reference's screening
-    call ``cdist(subl1, subl2, scorer=partial_ratio, score_cutoff=...)``
-    (``/root/reference/nmalign/lib/align.py:181-182``)."""
-    out = np.zeros((len(l1), len(l2)), dtype=np.float32)
-    for i, a in enumerate(l1):
-        for j, b in enumerate(l2):
-            out[i, j] = partial_ratio(a, b, processor=processor, score_cutoff=score_cutoff)
-    return out
-
-
 def partial_ratio_alignment(
     s1: str, s2: str, processor=None, score_cutoff: float | None = None
 ) -> ScoreAlignment | None:

@@ -37,7 +37,7 @@ import json
 import sys
 
 from ..align.core import AlignConfig
-from ..schema import DEFAULT_NORMALIZATION, EngineConfig
+from ..schema import DEFAULT_NORMALIZATION, SALT_THRESHOLD, EngineConfig
 
 JOB_KEYS = frozenset({
     "normalization", "cutoff", "allow_splits", "salt_threshold",
@@ -58,7 +58,7 @@ def config_from_json(doc: dict) -> EngineConfig:
     )
     return EngineConfig(
         align=align,
-        salt_threshold=doc.get("salt_threshold", 256),
+        salt_threshold=doc.get("salt_threshold", SALT_THRESHOLD),
         num_partitions=doc.get("num_partitions"),
     )
 

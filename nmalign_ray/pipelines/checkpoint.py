@@ -12,7 +12,7 @@ the input rows; everything after it runs inside one task per pid range::
          pass 1: each document over REMOTE_CELLS but the range's first
                  -> its own Ray task (extract_and_salt -> AlignChunks)
          pass 2: per partition of the range in pid order, per slice of
-         ``extract_batch_size`` documents in doc_id order:
+         ``SLICE_DOCS`` documents in doc_id order:
            extract_and_salt                      parse cascade + skew salting
            -> AlignChunks(cfg.align)             forced alignment per chunk
            -> + the slice's heavy documents      ray.get from pass 1's tasks
@@ -187,6 +187,12 @@ def _pid_runs(block: pa.Table):
         yield int(pids[lo]), block.slice(lo, hi - lo)
 
 
+# Documents per slice: the range task extracts, aligns and reassembles
+# this many documents of one partition at a time, and the sink writes each
+# slice as one row group.  Also the batch size of the maps before the
+# exchange.
+SLICE_DOCS = 64
+
 # A document costs about (Σ span characters) x (Σ reference characters)
 # cells of similarity matrix; over this many it aligns in its own Ray task.
 # The heaviest documents of the ``mix`` benchmark (and of
@@ -263,8 +269,8 @@ def _range_partitions(block: pa.Table, cfg: EngineConfig,
 
 def _partition_slices(rows: pa.Table, cfg: EngineConfig, remote: dict):
     """Extract, align and reassemble one partition's documents, yielding
-    one ``OUTPUT_SCHEMA`` table per slice of ``cfg.extract_batch_size``
-    documents, in ``doc_id`` order.
+    one ``OUTPUT_SCHEMA`` table per slice of ``SLICE_DOCS`` documents,
+    in ``doc_id`` order.
 
     A slice bounds the rows each layer holds at once; every chunk of a
     document stays in its document's slice.  The documents in ``remote``
@@ -278,8 +284,8 @@ def _partition_slices(rows: pa.Table, cfg: EngineConfig, remote: dict):
     group = rows.take(order)
     order = order.to_numpy()
     aligner = AlignChunks(cfg.align)
-    for lo in range(0, group.num_rows, cfg.extract_batch_size):
-        here = order[lo:lo + cfg.extract_batch_size]
+    for lo in range(0, group.num_rows, SLICE_DOCS):
+        here = order[lo:lo + SLICE_DOCS]
         is_remote = np.isin(here, list(remote))
         local = group.slice(lo, len(here))
         if is_remote.any():
@@ -362,12 +368,12 @@ def _exchange(rows: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
     return sort_into_ranges(rows, "pid", num_partitions)
 
 
-def _plan(corpus: ray.data.Dataset, cfg: EngineConfig, num_partitions: int,
-          per_range, done: frozenset = frozenset()) -> ray.data.Dataset:
+def _plan(corpus: ray.data.Dataset, num_partitions: int, per_range,
+          done: frozenset = frozenset()) -> ray.data.Dataset:
     """The extraction plan (module docstring): ``pid``, the resume
     filter, the exchange into pid ranges, and ``per_range`` — the
     per-range function — as one task per range."""
-    stateless = {"batch_format": "pyarrow", "batch_size": cfg.extract_batch_size}
+    stateless = {"batch_format": "pyarrow", "batch_size": SLICE_DOCS}
     rows = (corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
             .map_batches(partial(_filter_completed, done=done), **stateless))
     return _exchange(rows, num_partitions).map_batches(
@@ -386,7 +392,7 @@ def build_extract_pipeline(
     (module docstring); so do ``ds`` and its other descendants, which
     share its context, from then on."""
     cfg = config if config is not None else EngineConfig()
-    out = _plan(ds, cfg, cfg.resolved_partitions(), partial(_extract_partition, cfg=cfg))
+    out = _plan(ds, cfg.resolved_partitions(), partial(_extract_partition, cfg=cfg))
     out.context.op_resource_reservation_enabled = False
     return out
 
@@ -405,7 +411,7 @@ def run_checkpointed(
     cfg = config if config is not None else EngineConfig()
     num_partitions = resolve_num_partitions(out_dir, cfg)
     done = frozenset(completed_partitions(out_dir))
-    result_ds = _plan(corpus, cfg, num_partitions,
+    result_ds = _plan(corpus, num_partitions,
                       partial(_write_partition, out_dir=out_dir, cfg=cfg), done)
     context = result_ds.context  # shared along ``corpus``'s lineage
     reserved = context.op_resource_reservation_enabled

@@ -60,6 +60,10 @@ OUTPUT_SCHEMA = pa.schema(
 TEXT_KINDS = ("text", "html", "pdf")
 MEDIA_KINDS = ("image", "audio", "video")
 
+# the default of EngineConfig.salt_threshold, and of every function that
+# salts or aligns documents outside a job
+SALT_THRESHOLD = 256
+
 
 def cluster_cpus(default: int = 8) -> int:
     """Cluster CPU count for sizing shuffle widths / shard counts —
@@ -104,12 +108,7 @@ class EngineConfig:
     # are still aligned in one task, on one CPU (heavy documents' own
     # tasks, pipelines/checkpoint.py::REMOTE_CELLS, let the heavy
     # documents of one pid range align in parallel)
-    salt_threshold: int = 256
-    # documents per slice: the range task extracts, aligns and
-    # reassembles this many documents at a time (and the sink writes
-    # each slice as it is done); also the batch size of the map before
-    # the exchange
-    extract_batch_size: int = 64
+    salt_threshold: int = SALT_THRESHOLD
     # output partitioning: partition_id = crc32(doc_id) % num_partitions.
     # The input exchange is narrower: it sorts the pids into one block per
     # CPU (min(P, CPUs) contiguous pid ranges), one task per block.

@@ -164,8 +164,7 @@ def read_flat_corpus(
 
     from .hashing import crc32_mod
 
-    cpus = cluster_cpus()
-    nshards = max(32, cpus * 4)
+    nshards = max(32, cluster_cpus() * 4)
 
     def tag_shard(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -198,9 +197,8 @@ def read_flat_corpus(
                 ])
         return pa.Table.from_pydict(out, schema=expected)
 
-    return ds.map_batches(tag_shard, batch_format="pyarrow").groupby(
-        "shard", num_partitions=min(nshards, 64)
-    ).map_groups(assemble_shard, batch_format="pyarrow")
+    return (ds.map_batches(tag_shard, batch_format="pyarrow")
+            .groupby("shard").map_groups(assemble_shard, batch_format="pyarrow"))
 
 
 def explode_corpus(ds: ray.data.Dataset) -> ray.data.Dataset:

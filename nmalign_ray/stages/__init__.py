@@ -14,12 +14,11 @@ exchange, ``sort("pid")`` into one block per CPU (``[0, P)`` in
 ``min(P, CPUs)`` contiguous pid ranges), moves the input rows before any
 stage runs (``pipelines/checkpoint.py``).  Each range's task then takes
 its partitions in pid order and runs the three stages over slices of
-``extract_batch_size`` documents of one partition.  Before that, it
-sends the documents whose estimated cost is over ``REMOTE_CELLS``, all
-but the first it will reach, to Ray tasks of their own (extract + salt
-+ align) and collects their rows into their slices, so heavy documents
-of one range align in parallel.
-One document's chunks still run in one task.
+``SLICE_DOCS`` documents of one partition.  Before that, it sends the
+documents whose estimated cost is over ``REMOTE_CELLS``, all but the
+first it will reach, to Ray tasks of their own (extract + salt + align)
+and collects their rows into their slices, so heavy documents of one
+range align in parallel.  One document's chunks still run in one task.
 
 All stages are Arrow-in / Arrow-out.
 """

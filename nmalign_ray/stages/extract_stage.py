@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..document import salt_chunks
+from ..document import media_spans, reference_segments, salt_chunks
 from ..extract import classify_spans
-from ..schema import MEDIA_KINDS, SPAN_TYPE
+from ..schema import SALT_THRESHOLD, SPAN_TYPE
 
 CHUNK_SCHEMA = pa.schema(
     [
@@ -42,7 +42,7 @@ CHUNK_SCHEMA = pa.schema(
 )
 
 
-def extract_and_salt(batch: pa.Table, salt_threshold: int = 256) -> pa.Table:
+def extract_and_salt(batch: pa.Table, salt_threshold: int = SALT_THRESHOLD) -> pa.Table:
     if "pid" not in batch.column_names:
         raise ValueError(
             "extract_and_salt needs the partition column 'pid' "
@@ -55,22 +55,14 @@ def extract_and_salt(batch: pa.Table, salt_threshold: int = 256) -> pa.Table:
     rows = {name: [] for name in CHUNK_SCHEMA.names}
     for did, pid, spans, ref_spans in zip(doc_ids, pids, spans_col, refs_col):
         spans = spans or []
-        ref_spans = ref_spans or []
         candidates, media = classify_spans(
             [s["kind"] for s in spans],
             [s["text"] for s in spans],
             [s["media_ref"] for s in spans],
             [s["offset"] for s in spans],
         )
-        refs = [
-            r for r in ref_spans
-            if r["kind"] not in MEDIA_KINDS and not (r["media_ref"] and not r["text"])
-        ]
-        refs.sort(key=lambda r: r["offset"])
-        media_dicts = [
-            {"kind": m.kind, "text": "", "media_ref": m.media_ref, "offset": m.offset}
-            for m in media
-        ]
+        refs = reference_segments(ref_spans or [])
+        media_dicts = media_spans(media)
         for salt, (c_lo, c_hi, r_lo, r_hi) in enumerate(
             salt_chunks(len(candidates), len(refs), salt_threshold)
         ):

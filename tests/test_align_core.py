@@ -153,10 +153,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             match(["a"], [])
 
-    def test_denylist_blocks_pair(self):
-        res, _ = match(["abc"], ["abc", "abd"], denylist=frozenset({(0, 0)}))
-        assert res.tolist() == [1]
-
     def test_config_object_equivalent(self):
         cfg = AlignConfig(normalization=NRM, cutoff=0.3, try_subseg=True)
         r1, s1 = match(LINES, LINES, config=cfg)
@@ -195,9 +191,3 @@ class TestReviewRegressions:
         for i in range(len(l1)):
             if beg[i] >= 0:
                 assert 0 <= beg[i] <= end[i] <= len(merged)
-
-    def test_denylist_sole_pair_stays_unmatched(self):
-        # a denylisted pair must NEVER be assigned, even as last resort
-        res, scores = match(["abc"], ["abc"], denylist=frozenset({(0, 0)}))
-        assert res.tolist() == [-1]
-        assert np.isfinite(scores).all()

@@ -481,7 +481,13 @@ class TestHeavyDocuments:
 
     # small slices and salt chunks: slices mix remote and local
     # documents, and a remote document aligns as several chunks
-    cfg = EngineConfig(salt_threshold=8, extract_batch_size=4, num_partitions=4)
+    cfg = EngineConfig(salt_threshold=8, num_partitions=4)
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        from nmalign_ray.pipelines import checkpoint
+
+        monkeypatch.setattr(checkpoint, "SLICE_DOCS", 4)
 
     def heavy_ids(self, block):
         import pyarrow as pa

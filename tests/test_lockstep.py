@@ -4,8 +4,7 @@ against ``match`` (the per-chunk loop of the oracle), bit for bit.
 One call mixes chunk shapes from 1x1 to 40x40, duplicate and empty
 strings, ``'…'`` (which NFKC lengthens to three characters, so a
 subsegmentation position can pass the raw length), merged lines long
-enough to be split, denylists (one chunk fully denylisted), every cutoff
-path and both ``try_subseg`` settings.  Also here: the coverage table
+enough to be split, every cutoff path and both ``try_subseg`` settings.  Also here: the coverage table
 against the scalar expression, the loud preconditions of both entry
 points, the size groups, and the early exit of the subsegmentation
 shortest path.
@@ -70,28 +69,10 @@ def calls(draw):
     side = st.one_of(st.integers(1, 6), st.integers(1, 40))
     jobs = [_chunk(rng, draw(side), draw(side))
             for _ in range(draw(st.integers(1, 6)))]
-    deny = draw(st.sampled_from(["none", "some", "full"]))
-    if deny == "full":
-        # a chunk no bigger than any other, denylisted in every cell
-        m1 = min(len(l1) for l1, _ in jobs)
-        m2 = min(len(l2) for _, l2 in jobs)
-        a, b = rng.randint(1, min(m1, 3)), rng.randint(1, min(m2, 3))
-        jobs.insert(rng.randrange(len(jobs) + 1), _chunk(rng, a, b))
-        denylist = frozenset((i, j) for i in range(a) for j in range(b))
-    elif deny == "some":
-        # in range of every chunk; negative indices count from the end
-        m1 = min(len(l1) for l1, _ in jobs)
-        m2 = min(len(l2) for _, l2 in jobs)
-        denylist = frozenset(
-            (rng.randint(-m1, m1 - 1), rng.randint(-m2, m2 - 1))
-            for _ in range(rng.randint(1, 4)))
-    else:
-        denylist = frozenset()
     config = AlignConfig(
         normalization=draw(st.sampled_from([None, {"ſ": "s"}])),
         cutoff=draw(st.sampled_from([None, 0.5, 0.95])),
         try_subseg=draw(st.booleans()),
-        denylist=denylist,
     )
     return jobs, config
 
@@ -117,17 +98,12 @@ MERGED = (
 
 @settings(max_examples=120, deadline=None)
 @given(calls())
-@example(([MERGED, (["a"], ["a"])],
-          AlignConfig(try_subseg=True, denylist=frozenset({(0, 0)}))))
+@example(([MERGED, (["a"], ["a"])], AlignConfig(try_subseg=True)))
 @example(([MERGED, (["ab", "ab"], ["ab"])],
           AlignConfig(try_subseg=True, cutoff=0.95)))
 # a score of float32(0.95) is under the cutoff 0.95 (a float64 compare)
 @example(([(["abcdefghijklmnopqrst"], ["abcdefghijklmnopqrsx"])],
           AlignConfig(cutoff=0.95)))
-# in round 2 the first chunk is left with denylisted cells only, while
-# the union's first row and column are alive in the second chunk only
-@example(([(["qq", "cd", "zz"], ["ww", "zz"]), (["ab", "cd"], ["xy", "ab"])],
-          AlignConfig(denylist=frozenset({(1, 0), (1, 1)}))))
 def test_match_many_equals_match(call):
     _assert_same_as_match(*call)
 
@@ -160,12 +136,6 @@ def test_coverage_table_equals_scalar_expression():
 
 
 class TestPreconditions:
-    def test_match_rejects_misshaped_sim(self):
-        with pytest.raises(ValueError, match="shape"):
-            match(["a", "b"], ["a"], sim=np.zeros((1, 2), np.float32))
-        with pytest.raises(ValueError, match="shape"):
-            match(["a"], ["a"], sim=np.zeros(1, np.float32))
-
     def test_match_many_rejects_misshaped_sim(self):
         jobs = [(["a"], ["a"]), (["a", "b"], ["a"])]
         sims = [np.ones((1, 1), np.float32), np.ones((2, 2), np.float32)]
@@ -173,6 +143,14 @@ class TestPreconditions:
             match_many(jobs, sims, AlignConfig())
         with pytest.raises(ValueError):
             match_many(jobs, sims[:1], AlignConfig())
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_match_many_rejects_non_finite_sim(self, bad):
+        jobs = [(["a"], ["a"]), (["a", "b"], ["a", "b"])]
+        sim = np.ones((2, 2), np.float32)
+        sim[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            match_many(jobs, [np.ones((1, 1), np.float32), sim], AlignConfig())
 
     @pytest.mark.parametrize("l1, l2", [([], ["a"]), (["a"], [])])
     def test_empty_side(self, l1, l2):

@@ -172,29 +172,33 @@ class TestOnePlan:
         assert "AlignChunks" not in job["stats"]
         assert "actor" not in job["stats"].lower()
 
-    def test_slice_boundaries_equal_oracle(
-        self, ray_session, corpus, golden, tmp_path
-    ):
-        # slices of 3 documents cut every partition many times over; each
-        # slice is committed to the partition's file as one row group
+    def test_slice_boundaries_equal_oracle(self, ray_session, tmp_path):
+        # 80 documents per partition: slices of SLICE_DOCS cut each
+        # partition at least once; each slice is committed to the
+        # partition's file as one row group
         import math
 
         import pyarrow.parquet as pq
 
-        from nmalign_ray.pipelines.checkpoint import read_output, run_checkpointed
+        from nmalign_ray.pipelines.checkpoint import (
+            SLICE_DOCS,
+            read_output,
+            run_checkpointed,
+        )
 
-        cfg = EngineConfig(salt_threshold=64, extract_batch_size=3,
-                           num_partitions=2)
+        corpus = generate_corpus(num_docs=160, seed=42, skewed_spans=150)
+        cfg = EngineConfig(salt_threshold=64, num_partitions=2)
         ds = ray_session.data.from_arrow(corpus)
         out_dir = str(tmp_path / "out")
         run_checkpointed(ds, out_dir, cfg)
-        want = golden.sort_by("doc_id")
+        want = oracle_table(corpus, config=cfg.align,
+                            salt_threshold=cfg.salt_threshold).sort_by("doc_id")
         for got in (read_output(out_dir), collect_pipeline(ray_session, ds, cfg)):
             assert got.cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(want)
         for pid in range(2):
             meta = pq.ParquetFile(
                 str(tmp_path / "out" / f"part={pid}" / "data.parquet")).metadata
-            assert meta.num_row_groups == math.ceil(meta.num_rows / 3) > 1
+            assert meta.num_row_groups == math.ceil(meta.num_rows / SLICE_DOCS) > 1
 
 
 class TestJoinEdges:
