@@ -101,82 +101,80 @@ def partial_ratio_alignment_many(pairs) -> list[ScoreAlignment]:
     return out
 
 
-def _enumerate_windows(needle: np.ndarray, hay: np.ndarray):
-    """Window starts/ends for one search job, char-set pruned, in the
-    enumeration order of the module docstring (prefixes, full, suffixes)."""
-    l1, l2 = len(needle), len(hay)
-    n_pre = min(l1, l2 + 1) - 1
-    pre_ends = np.arange(1, n_pre + 1, dtype=np.int64)
-    pre_starts = np.zeros(n_pre, dtype=np.int64)
-    n_full = max(0, l2 - l1)
-    full_starts = np.arange(n_full, dtype=np.int64)
-    suf_starts = np.arange(max(0, l2 - l1), l2, dtype=np.int64)
-    starts = np.concatenate([pre_starts, full_starts, suf_starts])
-    ends = np.concatenate(
-        [pre_ends, full_starts + l1, np.full(len(suf_starts), l2, dtype=np.int64)]
-    )
-    if not len(starts):
-        return starts, ends
-    bound = np.concatenate(
-        [hay[pre_ends - 1], hay[full_starts + l1 - 1], hay[suf_starts]]
-    )
-    keep = np.isin(bound, needle)
-    return starts[keep], ends[keep]
+def _windows(l1: np.ndarray, l2: np.ndarray):
+    """Every window of every job, in the enumeration order of the module
+    docstring (per job: prefixes, full, suffixes), from the needle and
+    haystack lengths alone.
+
+    Returns ``(job, starts, ends, bound)``: ``bound`` is the haystack
+    position of each window's boundary character — the last character
+    of a prefix or full window, the first of a suffix window.  A full or
+    suffix window's start is its position after the prefixes."""
+    n_pre = np.minimum(l1, l2 + 1) - 1
+    n_full = np.maximum(0, l2 - l1)
+    per_job = n_pre + n_full + np.minimum(l1, l2)
+    job = np.repeat(np.arange(len(l1), dtype=np.int64), per_job)
+    p = np.arange(len(job), dtype=np.int64) - np.repeat(
+        np.cumsum(per_job) - per_job, per_job)
+    pre, after_full = p < n_pre[job], p >= (n_pre + n_full)[job]
+    starts = np.where(pre, 0, p - n_pre[job])
+    ends = np.where(pre, p + 1, np.where(after_full, l2[job], starts + l1[job]))
+    return job, starts, ends, np.where(after_full, starts, ends - 1)
 
 
 def _search_many(jobs) -> list[ScoreAlignment]:
     """Best window of each ``(shorter, longer)`` job; the shorter string
-    is the needle.  Every window of every job runs through one
+    is the needle.  The windows of every job are enumerated at once and
+    char-set pruned by one membership test over ``(job, codepoint)``
+    keys; every surviving window runs through one
     ``indel_distance_windows`` call."""
     results: list[ScoreAlignment | None] = [None] * len(jobs)
-    batch: list[int] = []
-    needles: list[np.ndarray] = []
-    hays: list[np.ndarray] = []
-    win_job: list[np.ndarray] = []
-    win_starts: list[np.ndarray] = []
-    win_ends: list[np.ndarray] = []
+    live = []
     for j, (sh, lg) in enumerate(jobs):
-        l1 = len(sh)
-        if l1 == 0:
+        if sh:
+            live.append(j)
+        else:
             # ratio of "" vs any non-empty window is 0; vs "" it is 100
             results[j] = ScoreAlignment(100.0 if not lg else 0.0, 0, 0, 0, 0)
-            continue
-        needle = encode(sh)
-        hay = encode(lg)
-        starts, ends = _enumerate_windows(needle, hay)
-        if not len(starts):
-            results[j] = ScoreAlignment(0.0, 0, l1, 0, l1)
-            continue
-        win_job.append(np.full(len(starts), len(batch), dtype=np.int64))
-        batch.append(j)
-        needles.append(needle)
-        hays.append(hay)
-        win_starts.append(starts)
-        win_ends.append(ends)
-    if not batch:
+    if not live:
         return results
 
-    starts = np.concatenate(win_starts)
-    ends = np.concatenate(win_ends)
-    job = np.concatenate(win_job)
-    l1w = np.fromiter((len(n) for n in needles), dtype=np.int64,
-                      count=len(needles))[job]
-    lens = ends - starts
-    dist = indel_distance_windows(needles, hays, job, starts, ends)
-    ratios = 100.0 * (1.0 - dist / (l1w + lens))
+    shs = [jobs[j][0] for j in live]
+    lgs = [jobs[j][1] for j in live]
+    l1 = np.fromiter(map(len, shs), dtype=np.int64, count=len(live))
+    l2 = np.fromiter(map(len, lgs), dtype=np.int64, count=len(live))
+    needle_cat, hay_cat = encode("".join(shs)), encode("".join(lgs))
+    hay_off = np.cumsum(l2) - l2
+    job, starts, ends, bound = _windows(l1, l2)
+    needle_keys = np.unique(
+        np.repeat(np.arange(len(live), dtype=np.int64) << 21, l1) | needle_cat)
+    keys = (job << 21) | hay_cat[hay_off[job] + bound]
+    at = np.minimum(np.searchsorted(needle_keys, keys), len(needle_keys) - 1)
+    keep = needle_keys[at] == keys
+    job, starts, ends = job[keep], starts[keep], ends[keep]
 
-    lo = 0
-    for j, needle, w_starts, w_ends in zip(batch, needles, win_starts,
-                                           win_ends):
-        hi = lo + len(w_starts)
-        r = ratios[lo:hi]
-        lo = hi
-        best = int(np.argmax(r))  # first occurrence == first strict improvement
-        l1 = len(needle)
-        if r[best] <= 0.0:
-            results[j] = ScoreAlignment(0.0, 0, l1, 0, l1)
-        else:
-            results[j] = ScoreAlignment(
-                float(r[best]), 0, l1, int(w_starts[best]), int(w_ends[best])
-            )
+    for u, n in enumerate(l1.tolist()):  # until a window scores above 0
+        results[live[u]] = ScoreAlignment(0.0, 0, n, 0, n)
+    if not len(job):
+        return results
+
+    needle_off = np.cumsum(l1) - l1
+    needles = [needle_cat[o:o + n] for o, n in zip(needle_off, l1)]
+    hays = [hay_cat[o:o + n] for o, n in zip(hay_off, l2)]
+    dist = indel_distance_windows(needles, hays, job, starts, ends)
+    ratios = 100.0 * (1.0 - dist / (l1[job] + ends - starts))
+
+    # the first occurrence of each job's maximum is its first strict
+    # improvement; a job's windows are contiguous and the jobs in order,
+    # so np.unique's first index per job picks it
+    first = np.flatnonzero(np.diff(job, prepend=-1))
+    job_max = np.repeat(np.maximum.reduceat(ratios, first),
+                        np.diff(first, append=len(job)))
+    hits = np.flatnonzero(ratios == job_max)
+    searched, first_hit = np.unique(job[hits], return_index=True)
+    for u, w in zip(searched.tolist(), hits[first_hit].tolist()):
+        if ratios[w] > 0.0:
+            n = int(l1[u])
+            results[live[u]] = ScoreAlignment(
+                float(ratios[w]), 0, n, int(starts[w]), int(ends[w]))
     return results

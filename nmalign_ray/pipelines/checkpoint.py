@@ -5,7 +5,9 @@ the input rows; everything after it runs inside one task per pid range::
 
     read corpus                                  [doc_id, spans, ref_spans]
       -> map_batches(_add_pid)                   pid = crc32(doc_id) % P, once
-      -> map_batches(_filter_completed)          resume: drop finished pids
+      -> map_batches(_filter_completed)          resume: drop finished pids;
+                                                 both in ceil(input bytes /
+                                                 MAP_TASK_BYTES) tasks
       -> sort("pid", boundaries)                 one block per CPU: [0, P) in
                                                  min(P, CPUs) pid ranges
       -> map_batches(per-range function):
@@ -27,9 +29,14 @@ the input rows; everything after it runs inside one task per pid range::
 The exchange moves the input rows rather than the aligned chunks, so a
 partition is committed as soon as it is done, not after every document of
 the round has been aligned.  The heavy work runs in plain Ray tasks, which
-reuse the session's workers from round to round.  The exchange's width is
-chosen by the plan (:func:`_exchange`): fixed boundaries cut ``[0, P)``
-into one pid range per CPU, whatever the input's block layout.
+reuse the session's workers from round to round.  The plan, not the
+input's block layout, sizes both sides of the exchange: the maps before
+it run one task per ``MAP_TASK_BYTES`` of input, read from the corpus's
+metadata (:func:`~.extract.rows_per_task`), and fixed boundaries cut
+``[0, P)`` into one pid range per CPU (:func:`_exchange`).  Measured on
+4 vCPU, a ``mix`` round read as 16 blocks ran 16 pid-map tasks and 16
+sort-map tasks of about 10 ms each before its first range task started;
+sized by bytes, it runs one of each.
 
 The plan executes without Ray Data's per-operator resource reservation
 (``op_resource_reservation_enabled`` off on the executed Dataset's
@@ -102,7 +109,7 @@ from ..schema import EngineConfig, OUTPUT_SCHEMA
 from ..stages import extract_stage
 from ..stages.aligner import AlignChunks
 from ..stages.reassemble import reassemble_group
-from .extract import sort_into_ranges
+from .extract import rows_per_task, sort_into_ranges
 
 
 def resolve_num_partitions(out_dir: str, cfg: EngineConfig) -> int:
@@ -118,6 +125,10 @@ def resolve_num_partitions(out_dir: str, cfg: EngineConfig) -> int:
     if os.path.exists(meta_path):
         with open(meta_path) as f:
             pinned = int(json.load(f)["num_partitions"])
+        if pinned < 1:
+            raise ValueError(
+                f"checkpoint at {out_dir} pins num_partitions={pinned}, "
+                "which is not a partition count (must be at least 1)")
         if cfg.num_partitions is not None and cfg.num_partitions != pinned:
             raise ValueError(
                 f"checkpoint at {out_dir} was written with num_partitions="
@@ -189,9 +200,18 @@ def _pid_runs(block: pa.Table):
 
 # Documents per slice: the range task extracts, aligns and reassembles
 # this many documents of one partition at a time, and the sink writes each
-# slice as one row group.  Also the batch size of the maps before the
-# exchange.
+# slice as one row group.
 SLICE_DOCS = 64
+
+# Input bytes per task of the maps before the exchange (``_add_pid`` and
+# ``_filter_completed``; ``join_refs``' tagging): they run in
+# ceil(bytes / MAP_TASK_BYTES) tasks, not one per read block.  Such a
+# task spends about 10 ms in Ray for about 1 ms of work per 2 000
+# documents, so ``mix`` (1.8 MiB) and ``giant`` run as one task, and a
+# 64 000-document ``mix`` corpus (57 MiB) as four.  The worker of a task
+# holds a few times its input while it maps, sorts and puts it, so the
+# budget stays small: at 16 MiB ``mix``'s peak worker RSS rose 4%.
+MAP_TASK_BYTES = 16 << 20
 
 # A document costs about (Σ span characters) x (Σ reference characters)
 # cells of similarity matrix; over this many it aligns in its own Ray task.
@@ -373,7 +393,8 @@ def _plan(corpus: ray.data.Dataset, num_partitions: int, per_range,
     """The extraction plan (module docstring): ``pid``, the resume
     filter, the exchange into pid ranges, and ``per_range`` — the
     per-range function — as one task per range."""
-    stateless = {"batch_format": "pyarrow", "batch_size": SLICE_DOCS}
+    stateless = {"batch_format": "pyarrow",
+                 "batch_size": rows_per_task(corpus, MAP_TASK_BYTES)}
     rows = (corpus.map_batches(partial(_add_pid, num_partitions=num_partitions), **stateless)
             .map_batches(partial(_filter_completed, done=done), **stateless))
     return _exchange(rows, num_partitions).map_batches(

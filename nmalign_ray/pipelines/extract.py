@@ -2,6 +2,8 @@
 
 * :func:`sort_into_ranges` — the plan's and the pair join's exchange: a
   sort on an integer key into one contiguous key range per CPU;
+* :func:`rows_per_task` — the batch size of the map before that
+  exchange, from the input's bytes;
 * :func:`join_refs` — the two-table form's pair join on ``doc_id``.
 
 The plan itself — read, ``pid``, the ``sort("pid")`` exchange into one
@@ -24,10 +26,30 @@ def sort_into_ranges(ds: ray.data.Dataset, key: str, num_keys: int) -> ray.data.
     — per range, in key order; a block may hold several keys, or none (zero
     rows, possibly no columns).  The boundaries are fixed, so Ray runs no
     boundary-sampling pass; an empty list would make it sample, so a single
-    range sorts below ``num_keys``, with an empty block above it."""
+    range sorts below ``num_keys``, with an empty block above it.
+
+    The map side of the sort runs one task per input block; callers size
+    the map before it by bytes (:func:`rows_per_task`), so that the
+    read's block count does not set it."""
     ranges = max(1, min(num_keys, cluster_cpus()))
     boundaries = [k * num_keys // ranges for k in range(1, ranges)]
     return ds.sort(key, boundaries=boundaries or [num_keys])
+
+
+def rows_per_task(ds: ray.data.Dataset, budget: int) -> int | None:
+    """Rows per task of a map over ``ds`` that holds about ``budget``
+    bytes of input at once: ``rows x budget // bytes``, so the map runs
+    ``ceil(bytes / budget)`` tasks, however many blocks the read made.
+
+    Rows and bytes come from the Dataset's logical plan, without
+    executing it (the metadata ``Dataset.size_bytes()`` reads first: a
+    read's file metadata, or a materialized Dataset's blocks).  When
+    either is unknown, as after a ``map_batches``, returns None, which
+    as a ``batch_size`` keeps one task per block."""
+    meta = ds._logical_plan.dag.infer_metadata()
+    if not meta.num_rows or not meta.size_bytes:
+        return None
+    return max(1, meta.num_rows * budget // meta.size_bytes)
 
 
 class NonUniqueRefError(ValueError):
@@ -59,10 +81,12 @@ def join_refs(
     ``merge_shard`` task per range — never one Ray group per document
     (a per-doc_id groupby costs per-group dispatch, measured 5.7 s of a
     6 s stage at 80k groups).
-    Both sides of a doc_id share its shard, so a range merges as one
-    unit.  The merge is vectorized: numpy validity masks pick each side's
-    rows and ``Table.take`` re-aligns the list<struct> payloads — no
-    per-cell ``.as_py()``.
+    Each side is tagged in ``ceil(bytes / MAP_TASK_BYTES)`` tasks when
+    its size is known before execution (:func:`rows_per_task`), else one
+    per block.  Both sides of a doc_id share its shard, so a range
+    merges as one unit.  The merge is vectorized: numpy validity masks
+    pick each side's rows and ``Table.take`` re-aligns the list<struct>
+    payloads — no per-cell ``.as_py()``.
 
     Cardinality is ENFORCED, mirroring the reference:
 
@@ -167,8 +191,14 @@ def join_refs(
             schema=CORPUS_SCHEMA,
         )
 
-    tagged = inputs.map_batches(tag_input, batch_format="pyarrow").union(
-        refs.map_batches(tag_ref, batch_format="pyarrow")
-    )
+    from .checkpoint import MAP_TASK_BYTES
+
+    tagged = inputs.map_batches(
+        tag_input, batch_format="pyarrow",
+        batch_size=rows_per_task(inputs, MAP_TASK_BYTES),
+    ).union(refs.map_batches(
+        tag_ref, batch_format="pyarrow",
+        batch_size=rows_per_task(refs, MAP_TASK_BYTES),
+    ))
     return sort_into_ranges(tagged, "shard", nshards).map_batches(
         merge_shard, batch_size=None, batch_format="pyarrow")

@@ -109,15 +109,23 @@ class EngineConfig:
     # tasks, pipelines/checkpoint.py::REMOTE_CELLS, let the heavy
     # documents of one pid range align in parallel)
     salt_threshold: int = SALT_THRESHOLD
-    # output partitioning: partition_id = crc32(doc_id) % num_partitions.
-    # The input exchange is narrower: it sorts the pids into one block per
-    # CPU (min(P, CPUs) contiguous pid ranges), one task per block.
+    # output partitioning: partition_id = crc32(doc_id) % num_partitions,
+    # at least 1.  The exchange is narrower: it sorts the pids into
+    # min(P, CPUs) contiguous pid ranges, one block and one task each;
+    # the map before it is sized by input bytes
+    # (pipelines/checkpoint.py::MAP_TASK_BYTES), neither by P nor by CPUs.
     # None (the default) = derive from the cluster at run time,
     # max(32, CPUs) — a fixed 32 starves the sink at 4N nodes (round-3
     # verdict item 6).  The checkpointed sink PINS the resolved value in
     # its manifest so a resume at a different cpu count keeps the
     # original partitioning (crc32 % P must not change mid-job).
     num_partitions: int | None = None
+
+    def __post_init__(self):
+        # checked here, before the checkpointed sink can pin a bad P
+        if self.num_partitions is not None and self.num_partitions < 1:
+            raise ValueError(
+                f"num_partitions must be at least 1, got {self.num_partitions}")
 
     def resolved_partitions(self) -> int:
         if self.num_partitions is not None:

@@ -130,6 +130,27 @@ class TestCheckpointedSink:
         # now pinned: auto resolves to the pinned value
         assert resolve_num_partitions(out, EC(num_partitions=None)) == 32
 
+    @pytest.mark.parametrize("num_partitions", [0, -3])
+    def test_config_rejects_partition_count_below_one(self, num_partitions):
+        # rejected when the config is built, before a checkpointed run
+        # could pin it in meta.json and refuse every later run into the
+        # same directory
+        with pytest.raises(ValueError, match="at least 1"):
+            EngineConfig(num_partitions=num_partitions)
+
+    @pytest.mark.parametrize("num_partitions", [None, 32])
+    def test_pinned_partition_count_below_one_is_rejected(
+        self, num_partitions, tmp_path
+    ):
+        from nmalign_ray.pipelines.checkpoint import resolve_num_partitions
+
+        out = str(tmp_path / "bad-pin")
+        os.makedirs(os.path.join(out, "_manifest"))
+        with open(os.path.join(out, "_manifest", "meta.json"), "w") as f:
+            json.dump({"num_partitions": 0}, f)
+        with pytest.raises(ValueError, match="not a partition count"):
+            resolve_num_partitions(out, EngineConfig(num_partitions=num_partitions))
+
     def test_resume_with_auto_partitions(self, ray_session, corpus, tmp_path):
         # e2e: auto-partitioned run, torn partition, resume repairs it and
         # the output matches the uninterrupted run (the filter reads the
@@ -365,6 +386,81 @@ class TestRangeExchange:
         before = reservation()
         run_checkpointed(ds, str(tmp_path / "out"), config)
         assert reservation() == before
+
+
+class TestMapBeforeExchange:
+    """The pid map before the exchange runs in ceil(input bytes /
+    MAP_TASK_BYTES) tasks, not one per read block."""
+
+    BLOCKS = 8
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # more documents than the 64 rows the pid map once bundled, so
+        # that a row-count batch size would run it in several tasks
+        return generate_corpus(num_docs=160, seed=42)
+
+    @pytest.fixture
+    def parquet_corpus(self, ray_session, corpus, tmp_path):
+        import pyarrow.parquet as pq
+
+        path = str(tmp_path / "corpus.parquet")
+        pq.write_table(corpus, path)
+        # read as BLOCKS blocks (test_unknown_size_keeps_one_task_per_block
+        # counts them)
+        return ray_session.data.read_parquet(path, override_num_blocks=self.BLOCKS)
+
+    @staticmethod
+    def pid_map_tasks(stats):
+        line = next(l for l in stats.splitlines()
+                    if "MapBatches(_add_pid)" in l and "tasks executed" in l)
+        return int(line.split(": ")[1].split(" tasks executed")[0])
+
+    @staticmethod
+    def assert_oracle(out, corpus, config):
+        from nmalign_ray.schema import OUTPUT_SCHEMA
+
+        want = oracle_table(corpus, config.align, salt_threshold=config.salt_threshold)
+        assert read_output(out).cast(OUTPUT_SCHEMA).sort_by("doc_id").equals(
+            want.sort_by("doc_id"))
+
+    def test_small_input_is_one_task(self, parquet_corpus, corpus, config, tmp_path):
+        out = str(tmp_path / "out")
+        job = run_checkpointed(parquet_corpus, out, config, collect_stats=True)
+        assert self.pid_map_tasks(job["stats"]) == 1
+        self.assert_oracle(out, corpus, config)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_tasks_follow_the_byte_budget(self, parquet_corpus, corpus, config,
+                                          tmp_path, monkeypatch, parts):
+        from nmalign_ray.pipelines import checkpoint
+
+        size = parquet_corpus.size_bytes()  # from the read's metadata
+        budget = -(-size // parts)
+        monkeypatch.setattr(checkpoint, "MAP_TASK_BYTES", budget)
+        out = str(tmp_path / "out")
+        job = run_checkpointed(parquet_corpus, out, config, collect_stats=True)
+        assert self.pid_map_tasks(job["stats"]) == -(-size // budget) == parts
+        self.assert_oracle(out, corpus, config)
+
+    def test_unknown_size_keeps_one_task_per_block(self, parquet_corpus, corpus,
+                                                   config, tmp_path):
+        from nmalign_ray.pipelines.extract import rows_per_task
+
+        marker = tmp_path / "executed"
+
+        def touch(batch):
+            marker.touch()
+            return batch
+
+        ds = parquet_corpus.map_batches(touch, batch_format="pyarrow")
+        assert rows_per_task(ds, 1 << 20) is None
+        assert not marker.exists()  # the helper executed nothing
+        out = str(tmp_path / "out")
+        job = run_checkpointed(ds, out, config, collect_stats=True)
+        assert marker.exists()
+        assert self.pid_map_tasks(job["stats"]) == self.BLOCKS
+        self.assert_oracle(out, corpus, config)
 
 
 class TestRangeTask:

@@ -186,3 +186,22 @@ def test_aligner_batch_equals_chunk_by_chunk_and_oracle():
     longseg = oracle.to_pylist()[1]
     # the long segments were split across their reference lines
     assert longseg["matched"] > 2
+
+
+def test_partial_ratio_many_pinned_mixed_call():
+    # one call mixes an empty needle, a job whose windows are all pruned
+    # (no boundary character occurs in the needle), an equal-length pair
+    # whose swapped retry wins, a flipped pair, and a non-ASCII needle
+    pairs = [("", "abc"), ("xyz", "abcabc"), ("aaaad", "acbca"),
+             ("", ""), ("ab", "zzabzz"), ("üöa", "xöüay"), ("bca", "ab")]
+    want = [(0.0, 0, 0, 0, 0), (0.0, 0, 3, 0, 3),
+            (100.0 * (1 - 3 / 7), 0, 2, 0, 5), (100.0, 0, 0, 0, 0),
+            (100.0, 0, 2, 2, 4), (100.0 * (1 - 2 / 6), 0, 3, 1, 4),
+            (100.0 * (1 - 2 / 6), 0, 1, 0, 2)]
+    got = partial_ratio_alignment_many(pairs)
+    assert [(g.score, g.src_start, g.src_end, g.dest_start, g.dest_end)
+            for g in got] == want
+    for (a, b), g in zip(pairs, got):
+        d = partial_ratio_alignment_dp(a, b)
+        assert (g.score, g.src_start, g.src_end, g.dest_start, g.dest_end) == (
+            d.score, d.src_start, d.src_end, d.dest_start, d.dest_end)
