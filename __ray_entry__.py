@@ -35,10 +35,13 @@ _REPO_DIR = os.path.dirname(os.path.abspath(__file__))
 if _REPO_DIR not in sys.path:
     sys.path.insert(0, _REPO_DIR)
 
+from nmalign_ray.tokens import tokens_sql  # noqa: E402
+
 # bump _GEN_VERSION whenever corpus derivation changes — it keys the /tmp
 # cache so stale corpora from older code can never leak into a run
-# (v2: default mix switched to the rng-free DETERMINISTIC_FAMILIES)
-_GEN_VERSION = "v2"
+# (v2: default mix switched to the rng-free DETERMINISTIC_FAMILIES;
+# v3: word chunks split by nmalign_ray.tokens, not str.split)
+_GEN_VERSION = "v3"
 _CACHE_ROOT = f"/tmp/nmalign_ray_cache/{_GEN_VERSION}"
 
 
@@ -777,29 +780,30 @@ def oracle_sql() -> dict[str, str]:
     }
 
 
-# Expected output of the full pipeline on the identity family: the derived
-# ref segmentation (8-word chunks of whitespace tokens — the word-salad
-# documents carry no sentence marks, so corpus_from_documents always takes
-# its word-chunk path) comes back verbatim, in order.
-EXTRACT_ALIGN_IDENTITY_SQL = """
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
+# The derived corpus's ref segmentation, as corpus_from_documents' word-chunk
+# path cuts it (the word-salad documents carry no sentence marks): every
+# document with a token becomes its 8-token chunks, in order.  ``key`` is
+# the numeric doc_id the family dispatch (key % n) reads.
+_SEGS = f"""segs AS (
+  SELECT doc_id AS key, 'doc-' || doc_id AS doc_id,
          [array_to_string(toks[i:i+7], ' ')
           for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-)
-SELECT doc_id,
-       CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-       'text' AS kind,
-       unnest(seglist) AS text,
-       '' AS media_ref
-FROM segs
+  FROM (SELECT doc_id, {tokens_sql()} AS toks FROM documents)
+  WHERE len(toks) > 0
+),
+x AS (
+  SELECT key, doc_id,
+         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
+         unnest(seglist) AS seg
+  FROM segs
+)"""
+
+# Expected output of the full pipeline on the identity family: the derived
+# ref segmentation comes back verbatim, in order.
+EXTRACT_ALIGN_IDENTITY_SQL = f"""
+WITH {_SEGS}
+SELECT doc_id, "order", 'text' AS kind, seg AS text, '' AS media_ref
+FROM x
 """
 
 # Glyph family: same segmentation as identity, but the emitted text is the
@@ -816,24 +820,7 @@ for _plain, _noisy in (
     _GLYPH_REPLACE = f"replace({_GLYPH_REPLACE}, '{_plain}', '{_noisy}')"
 
 EXTRACT_ALIGN_GLYPH_SQL = f"""
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order", 'text' AS kind,
        {_GLYPH_REPLACE} AS text,
        '' AS media_ref
@@ -851,24 +838,7 @@ for _plain, _noisy in (
     _OCR_REPLACE = f"replace({_OCR_REPLACE}, '{_plain}', '{_noisy}')"
 
 EXTRACT_ALIGN_OCR_SQL = f"""
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order", 'text' AS kind,
        {_OCR_REPLACE} AS text,
        '' AS media_ref
@@ -879,25 +849,7 @@ FROM x
 # ("identity", "glyph", "ocr") — replicating corpus_from_documents'
 # key-based dispatch — with the matching per-family text expression.
 EXTRACT_ALIGN_TRIMIX_SQL = f"""
-WITH d AS (
-  SELECT doc_id AS key,
-         'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT key, doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT key, doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order", 'text' AS kind,
        CASE key % 3
          WHEN 0 THEN seg
@@ -914,25 +866,8 @@ FROM x
 # replaced by '_', and ineligible / leftover chunks come through 1:1
 # with the identical corruption — so the expected text per chunk is
 # replace(seg, ' ', '_') independent of the grouping.
-EXTRACT_ALIGN_MERGED_SQL = """
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+EXTRACT_ALIGN_MERGED_SQL = f"""
+WITH {_SEGS}
 SELECT doc_id, "order", 'text' AS kind,
        replace(seg, ' ', '_') AS text,
        '' AS media_ref
@@ -946,24 +881,7 @@ FROM x
 # shorter than MIN_BLOCK_CHARS=10 are dropped by the extractor's
 # min-length filter and their refs stay unmatched (omitted).
 EXTRACT_ALIGN_HTML_SQL = f"""
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order", 'html' AS kind,
        {_GLYPH_REPLACE} AS text,
        '' AS media_ref
@@ -978,24 +896,7 @@ WHERE len({_GLYPH_REPLACE}) >= 10
 # is the nested glyph replace, kind 'pdf', all chunks kept (no
 # MIN_BLOCK_CHARS analogue in the pdf parse).
 EXTRACT_ALIGN_PDF_SQL = f"""
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order", 'pdf' AS kind,
        {_GLYPH_REPLACE} AS text,
        '' AS media_ref
@@ -1006,65 +907,29 @@ FROM x
 # dmerged, dhtml, dpdf) — the widest heterogeneous oracle, exercising
 # both extraction front-ends plus the split path in one hash check.
 EXTRACT_ALIGN_MIX6_SQL = f"""
-WITH d AS (
-  SELECT doc_id AS key,
-         'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT key, doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT key, doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order",
        CASE WHEN key % 6 = 4 THEN 'html'
             WHEN key % 6 = 5 THEN 'pdf'
             ELSE 'text' END AS kind,
        CASE key % 6
          WHEN 0 THEN seg
-         WHEN 1 THEN {{GLYPH}}
-         WHEN 2 THEN {{OCR}}
+         WHEN 1 THEN {_GLYPH_REPLACE}
+         WHEN 2 THEN {_OCR_REPLACE}
          WHEN 3 THEN replace(seg, ' ', '_')
-         ELSE {{GLYPH}}
+         ELSE {_GLYPH_REPLACE}
        END AS text,
        '' AS media_ref
 FROM x
-WHERE NOT (key % 6 = 4 AND len({{GLYPH}}) < 10)
-""".replace("{GLYPH}", _GLYPH_REPLACE).replace("{OCR}", _OCR_REPLACE)
+WHERE NOT (key % 6 = 4 AND len({_GLYPH_REPLACE}) < 10)
+"""
 
 # Five-family mix: family = doc_id % 5 over (identity, glyph, ocr,
 # dmerged, dhtml) — replicating corpus_from_documents' key-based
 # dispatch — with the matching per-family text/kind expressions and the
 # dhtml min-length drop.
 EXTRACT_ALIGN_MIX5_SQL = f"""
-WITH d AS (
-  SELECT doc_id AS key,
-         'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT key, doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT key, doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order",
        CASE WHEN key % 5 = 4 THEN 'html' ELSE 'text' END AS kind,
        CASE key % 5
@@ -1099,38 +964,20 @@ WHERE NOT (key % 5 = 4 AND len({_GLYPH_REPLACE}) < 10)
 #   9 dempty     — glyph replace (the whitespace-only input span is
 #                  dropped by the empty-line filter, reference O4).
 EXTRACT_ALIGN_SQL = f"""
-WITH d AS (
-  SELECT doc_id AS key,
-         'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT key, doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-),
-x AS (
-  SELECT key, doc_id,
-         CAST(generate_subscripts(seglist, 1) - 1 AS INTEGER) AS "order",
-         unnest(seglist) AS seg
-  FROM segs
-)
+WITH {_SEGS}
 SELECT doc_id, "order",
        CASE WHEN key % 10 = 4 THEN 'html'
             WHEN key % 10 = 5 THEN 'pdf'
             ELSE 'text' END AS kind,
        CASE key % 10
          WHEN 0 THEN seg
-         WHEN 2 THEN {{OCR}}
+         WHEN 2 THEN {_OCR_REPLACE}
          WHEN 3 THEN replace(seg, ' ', '_')
-         ELSE {{GLYPH}}
+         ELSE {_GLYPH_REPLACE}
        END AS text,
        '' AS media_ref
 FROM x
-WHERE NOT (key % 10 = 4 AND len({{GLYPH}}) < 10)
+WHERE NOT (key % 10 = 4 AND len({_GLYPH_REPLACE}) < 10)
 UNION ALL
 SELECT doc_id,
        CAST(len(seglist) AS INTEGER) AS "order",
@@ -1139,36 +986,23 @@ SELECT doc_id,
        'media://doc-' || key || '/0' AS media_ref
 FROM segs
 WHERE key % 10 = 7
-""".replace("{GLYPH}", _GLYPH_REPLACE).replace("{OCR}", _OCR_REPLACE)
+"""
 
 # identity+glyph metrics: every segment matches 1:1 at exactly 1.0, so
-# the metric columns are functions of the word count alone
-ALIGN_METRICS_SQL = """
-SELECT 'doc-' || doc_id AS doc_id,
+# the metric columns are functions of the segment count alone
+ALIGN_METRICS_SQL = f"""
+WITH {_SEGS}
+SELECT doc_id,
        CAST(1.0 AS DOUBLE) AS mean_score,
-       CAST(ceil(len(regexp_split_to_array(trim(text), '\\s+')) / 8.0)
-            AS INTEGER) AS matched,
-       CAST(ceil(len(regexp_split_to_array(trim(text), '\\s+')) / 8.0)
-            AS INTEGER) AS total,
+       CAST(len(seglist) AS INTEGER) AS matched,
+       CAST(len(seglist) AS INTEGER) AS total,
        CAST(0 AS INTEGER) AS unmatched_ref_count
-FROM documents
-WHERE trim(text) <> ''
+FROM segs
 """
 
 # identity rollup: document text = matched segments in order joined by \n
-ROLLUP_TEXT_SQL = """
-WITH d AS (
-  SELECT 'doc-' || doc_id AS doc_id,
-         regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents
-  WHERE trim(text) <> ''
-),
-segs AS (
-  SELECT doc_id,
-         [array_to_string(toks[i:i+7], ' ')
-          for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM d
-)
+ROLLUP_TEXT_SQL = f"""
+WITH {_SEGS}
 SELECT doc_id,
        array_to_string(seglist, chr(10)) AS text,
        CAST(len(seglist) AS INTEGER) AS n_spans,

@@ -522,9 +522,11 @@ def corpus_from_documents(texts, doc_ids, seed: int = 42,
     rng families (noised/merged/html/pdf/permuted/media) remain available
     by passing them explicitly."""
     from .hashing import crc32_u32
+    from .tokens import token_lists
 
+    texts = list(texts)
     out_ids, all_spans, all_refs = [], [], []
-    for text, did in zip(texts, doc_ids):
+    for text, did, words in zip(texts, doc_ids, token_lists(texts)):
         try:
             key = int(did)
         except (TypeError, ValueError):
@@ -534,11 +536,9 @@ def corpus_from_documents(texts, doc_ids, seed: int = 42,
         # invariant to batch boundaries when distributed via map_batches
         family = families[key % len(families)]
         segs = [s for s in _SENT_SPLIT.split(text) if s.strip()]
-        # word-salad documents have no sentence marks: chunk by words
+        # word-salad documents have no sentence marks: chunk by tokens
         if len(segs) <= 1:
-            words = text.split()
             segs = [" ".join(words[i : i + 8]) for i in range(0, len(words), 8)]
-        segs = [s for s in segs if s.strip()]
         if not segs:
             continue
         if family == "dmerged":

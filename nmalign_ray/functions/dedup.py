@@ -30,6 +30,7 @@ from ray.data.aggregate import Count, Min
 
 from ..hashing import blake2b_u64, crc32_mod, md5_hex, md5_u64, md5_u64_sql
 from ..schema import cluster_cpus
+from ..tokens import norm_text_sql, split, token_lists, tokens_sql
 from .textstats import fingerprint_batch, round6
 
 NUM_PERM = 64
@@ -37,8 +38,15 @@ NUM_BANDS = 16  # 16 bands x 4 rows
 _MERSENNE = (1 << 61) - 1
 
 
-EXACT_DEDUP_SQL = """
-SELECT md5(regexp_replace(trim(lower(text)), '\\s+', ' ', 'g')) AS fingerprint,
+def _doc_tokens_sql(lower: bool = False) -> str:
+    """The SQL twins' documents with at least one token, as (doc_id, toks)."""
+    return f"""SELECT doc_id, toks
+  FROM (SELECT doc_id, {tokens_sql(lower=lower)} AS toks FROM documents)
+  WHERE len(toks) > 0"""
+
+
+EXACT_DEDUP_SQL = f"""
+SELECT md5({norm_text_sql()}) AS fingerprint,
        min(doc_id) AS keep_doc_id,
        count(*) AS dup_count
 FROM documents
@@ -57,15 +65,21 @@ def exact_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-def _norm_tokens(text: str) -> list[str]:
-    return text.lower().split()
+def shingle_sets(data, k: int = 3) -> list[set[str]]:
+    """The k-token shingles of each text's lowercased tokens (a text of
+    fewer tokens is one shingle; a text without tokens has none)."""
+    out = []
+    for toks in token_lists(data, lower=True):
+        if len(toks) < k:
+            out.append({" ".join(toks)} if toks else set())
+        else:
+            out.append({" ".join(toks[i : i + k])
+                        for i in range(len(toks) - k + 1)})
+    return out
 
 
 def shingle_set(text: str, k: int = 3) -> set[str]:
-    toks = _norm_tokens(text)
-    if len(toks) < k:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
+    return shingle_sets([text], k)[0]
 
 
 def _perm_params(seed: int = 42):
@@ -107,13 +121,12 @@ def minhash_band_rows(batch: pa.Table, num_shards: int | None = None) -> pa.Tabl
     6 s stage at sf0.1; <1 s sharded)."""
     rows_per_band = NUM_PERM // NUM_BANDS
     bands, hashes, ids = [], [], []
-    for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        shingles = shingle_set(text)
+    for did, shingles in zip(batch["doc_id"].to_pylist(), shingle_sets(batch)):
         if not shingles:
-            # shingle-less (empty/whitespace-only) docs are outside the
-            # candidate universe — the SQL twin excludes them
-            # (WHERE trim(text) <> ''), and the sentinel signature would
-            # otherwise pair every empty doc with every other at J=1.0
+            # token-less docs are outside the candidate universe — the
+            # SQL twin excludes them (WHERE len(toks) > 0), and the
+            # sentinel signature would otherwise pair every empty doc
+            # with every other at J=1.0
             continue
         sig = minhash_signature(shingles)
         for b in range(NUM_BANDS):
@@ -201,8 +214,7 @@ def banding_candidates(doc_ids, texts) -> set:
     all-pairs MINHASH_NEAR_DUPS_SQL / DUP_GROUPS_SQL twins)."""
     rows_per_band = NUM_PERM // NUM_BANDS
     buckets: dict[tuple[int, bytes], list] = {}
-    for did, text in zip(doc_ids, texts):
-        shingles = shingle_set(text)
+    for did, shingles in zip(doc_ids, shingle_sets(list(texts))):
         if not shingles:  # same universe as minhash_band_rows / the SQL
             continue
         sig = minhash_signature(shingles)
@@ -329,14 +341,10 @@ def jaccard(a: set, b: set) -> float:
 # (measured: 0 missed pairs at sf0.01 AND sf0.1 with 16 bands x 4 rows;
 # banding is seeded/deterministic, so recall is a fixed property of the
 # data, not a per-run roll) and the verification stage computes the same
-# exact Jaccard both sides.  Documents with empty/whitespace-only text
-# are excluded on both sides only when paired with non-empty docs (J=0 <
-# threshold); the test tables contain none.
-MINHASH_NEAR_DUPS_SQL = """
-WITH docs AS (
-  SELECT doc_id, regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+# exact Jaccard both sides.  Documents without tokens are excluded on
+# both sides.
+MINHASH_NEAR_DUPS_SQL = f"""
+WITH docs AS ({_doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -563,10 +571,10 @@ def minhash_near_dups(
                 members_of.setdefault(doc_ids[k], []).append(
                     (pair_a[k], pair_b[k]))
         a_out, b_out, sh_out = [], [], []
-        for did in sorted(members_of):
-            if did not in text_of:  # Bloom FP rider / missing doc: drop
-                continue
-            sh = sorted(shingle_set(text_of[did]))
+        # a member without its text is a Bloom FP rider or missing: drop
+        dids = [d for d in sorted(members_of) if d in text_of]
+        for did, sh in zip(dids, shingle_sets([text_of[d] for d in dids])):
+            sh = sorted(sh)
             for m in members_of[did]:
                 a_out.append(m[0])
                 b_out.append(m[1])
@@ -622,7 +630,10 @@ def minhash_near_dups(
 # SimHash
 
 def simhash_signature(text: str) -> int:
-    toks = _norm_tokens(text)
+    return _simhash(token_lists([text], lower=True)[0])
+
+
+def _simhash(toks: list[str]) -> int:
     if not toks:
         return 0
     # md5, not blake2b, so the DuckDB twin computes the same token hash
@@ -636,7 +647,7 @@ def simhash_signature(text: str) -> int:
 
 
 def simhash_batch(batch: pa.Table) -> pa.Table:
-    sigs = [simhash_signature(t) for t in batch["text"].to_pylist()]
+    sigs = [_simhash(t) for t in token_lists(batch, lower=True)]
     signed = [s - (1 << 64) if s >= (1 << 63) else s for s in sigs]
     return pa.Table.from_pydict(
         {"doc_id": batch["doc_id"], "simhash": pa.array(signed, pa.int64())}
@@ -652,12 +663,7 @@ def simhash_signatures(ds: ray.data.Dataset) -> ray.data.Dataset:
 # all-pairs answer; the SQL recomputes the signature bit-for-bit (md5
 # low-64 token hash, per-bit majority vote) and filters all pairs.
 SIMHASH_NEAR_DUPS_SQL = f"""
-WITH d AS (
-  SELECT doc_id,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE regexp_split_to_array(trim(lower(text)), '\\s+') END AS toks
-  FROM documents
-),
+WITH d AS (SELECT doc_id, {tokens_sql(lower=True)} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 votes AS (
   SELECT doc_id, k,
@@ -754,9 +760,7 @@ JACCARD_SAMPLE_MAX_ID = 50
 
 JACCARD_SAMPLE_SQL = f"""
 WITH docs AS (
-  SELECT doc_id,
-         regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE doc_id < {JACCARD_SAMPLE_MAX_ID} AND trim(text) <> ''
+  SELECT * FROM ({_doc_tokens_sql(lower=True)}) WHERE doc_id < {JACCARD_SAMPLE_MAX_ID}
 ),
 sh AS (
   SELECT doc_id,
@@ -784,8 +788,10 @@ def jaccard_sample(ds: ray.data.Dataset, max_id: int = JACCARD_SAMPLE_MAX_ID) ->
     small = ds.map_batches(
         lambda b: b.filter(pc.less(b["doc_id"], max_id)), batch_format="pyarrow"
     ).to_pandas()
-    sh = {r.doc_id: shingle_set(r.text) for r in small.itertuples()
-          if r.text.strip()}
+    # a zero-row collect is column-less
+    ids, texts = ((small["doc_id"].tolist(), small["text"].tolist())
+                  if len(small) else ([], []))
+    sh = {d: s for d, s in zip(ids, shingle_sets(texts)) if s}
     ids = sorted(sh)
     rows = {"doc_a": [], "doc_b": [], "jaccard": []}
     for i in range(len(ids)):
@@ -812,11 +818,8 @@ def jaccard_sample(ds: ray.data.Dataset, max_id: int = JACCARD_SAMPLE_MAX_ID) ->
 # Exact integer counts -> one float division + round6, so the twin is
 # bit-identical.  Sums over BIGINT are HUGEINT in DuckDB -> cast (the
 # r4 hasher lesson, enforced by the oracle-type gate).
-SHINGLE_NOVELTY_SQL = """
-WITH docs AS (
-  SELECT doc_id, regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+SHINGLE_NOVELTY_SQL = f"""
+WITH docs AS ({_doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -857,9 +860,9 @@ def shingle_novelty(ds: ray.data.Dataset) -> ray.data.Dataset:
     def shingle_rows(batch: pa.Table) -> pa.Table:
         sh_out: list = []
         id_out: list = []
-        for did, text in zip(batch["doc_id"].to_pylist(),
-                             batch["text"].to_pylist()):
-            for s in shingle_set(text):
+        for did, shingles in zip(batch["doc_id"].to_pylist(),
+                                 shingle_sets(batch)):
+            for s in shingles:
                 sh_out.append(s)
                 id_out.append(did)
         return pa.Table.from_pydict(
@@ -915,11 +918,11 @@ def shingle_novelty(ds: ray.data.Dataset) -> ray.data.Dataset:
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-DEDUP_KEEPERS_SQL = """
+DEDUP_KEEPERS_SQL = f"""
 SELECT d.doc_id, d.n_chars
 FROM documents d
 JOIN (
-  SELECT md5(regexp_replace(trim(lower(text)), '\\s+', ' ', 'g')) AS fp,
+  SELECT md5({norm_text_sql()}) AS fp,
          min(doc_id) AS keep_doc_id
   FROM documents GROUP BY 1
 ) k ON d.doc_id = k.keep_doc_id
@@ -973,11 +976,8 @@ def dedup_keepers(ds: ray.data.Dataset) -> ray.data.Dataset:
 # Exact twin of connected_groups over the minhash_near_dups pair set
 # (the driver's dup_groups query): recursive transitive closure of the
 # exact-Jaccard >= 0.6 edge set, then min reachable label per node.
-DUP_GROUPS_SQL = """
-WITH RECURSIVE docs AS (
-  SELECT doc_id, regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+DUP_GROUPS_SQL = f"""
+WITH RECURSIVE docs AS ({_doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -1264,11 +1264,8 @@ CHUNK_WORDS = 8
 # packed keep-first key: doc_id * 2^20 + idx (idx < 2^20 checked per doc)
 _CHUNK_IDX_BITS = 20
 
-CHUNK_DEDUP_SQL = """
-WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+CHUNK_DEDUP_SQL = f"""
+WITH d AS ({_doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          CAST(generate_subscripts(lst, 1) - 1 AS BIGINT) AS idx,
@@ -1292,28 +1289,17 @@ FROM keep GROUP BY doc_id
 """
 
 
-def _doc_chunks(text: str) -> list[str]:
-    """8-word chunks of the whitespace-tokenized trimmed text.
-
-    python str.split matches the oracle's regexp_split_to_array on
-    ``\\s+`` ONLY on texts free of exotic whitespace (``\\v``, NBSP,
-    unicode spaces — python splits on them, RE2's ASCII ``\\s`` does
-    not) whose edges carry no non-space whitespace (DuckDB ``trim()``
-    strips spaces only, python ``strip()`` strips all).  That domain
-    precondition holds for every shipped table and is PINNED by
-    ``tests/test_oracle_invariants.py::test_no_divergent_whitespace`` —
-    a corpus violating it needs byte-identical tokenizers on both sides
-    before any text oracle can be trusted."""
-    toks = text.strip().split()
-    return [" ".join(toks[i:i + CHUNK_WORDS])
-            for i in range(0, len(toks), CHUNK_WORDS)]
+def _doc_chunks(data) -> list[list[str]]:
+    """The CHUNK_WORDS-token chunks of each text (``tokens.py``'s tokens,
+    case kept, joined by one space): the SQL twins' ``toks[i:i+7]``."""
+    return [[" ".join(toks[i:i + CHUNK_WORDS])
+             for i in range(0, len(toks), CHUNK_WORDS)]
+            for toks in token_lists(data)]
 
 
 def _chunk_rows(batch: pa.Table, keep_text: bool) -> pa.Table:
     ids, idxs, keys, chunks = [], [], [], []
-    for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                            batch["text"].to_pylist()):
-        cs = _doc_chunks(text)
+    for doc_id, cs in zip(batch["doc_id"].to_pylist(), _doc_chunks(batch)):
         if len(cs) >= (1 << _CHUNK_IDX_BITS):
             raise ValueError(
                 f"doc {doc_id}: {len(cs)} chunks exceeds the packed-key "
@@ -1398,13 +1384,12 @@ def chunk_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
         ):
             by_doc.setdefault(did, []).append((idx, text, is_doc))
         ids, cleans, n_kepts, n_chunks_out = [], [], [], []
-        for doc_id in sorted(by_doc):
-            rows = by_doc[doc_id]
-            text = next(t for _, t, d in rows if d)
-            chunks = _doc_chunks(text)
+        dids = sorted(by_doc)
+        texts = [next(t for _, t, d in by_doc[did] if d) for did in dids]
+        for doc_id, chunks in zip(dids, _doc_chunks(texts)):
             if not chunks:  # empty document: no rows, mirror the oracle
                 continue
-            keep_idx = sorted(i for i, _, d in rows if not d)
+            keep_idx = sorted(i for i, _, d in by_doc[doc_id] if not d)
             ids.append(doc_id)
             cleans.append(" ".join(chunks[i] for i in keep_idx))
             n_kepts.append(len(keep_idx))
@@ -1437,10 +1422,7 @@ BENCHMARK_MOD = 37
 BENCH_BROADCAST_MAX = 5_000_000
 
 DECONTAMINATE_SQL = f"""
-WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+WITH d AS ({_doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          unnest([array_to_string(toks[i:i+7], ' ')
@@ -1499,9 +1481,8 @@ def decontaminate(
         def flag(batch: pa.Table) -> pa.Table:
             bench = ray.get(keys_ref)
             ids, hits = [], []
-            for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                                    batch["text"].to_pylist()):
-                cs = _doc_chunks(text)
+            for doc_id, cs in zip(batch["doc_id"].to_pylist(),
+                                  _doc_chunks(batch)):
                 if not cs:
                     continue
                 ids.append(doc_id)
@@ -1589,10 +1570,7 @@ BLOOM_BITS = 1 << 16
 BLOOM_HASHES = 4
 
 BLOOM_DECONTAMINATE_SQL = f"""
-WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+WITH d AS ({_doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          CAST(generate_subscripts(lst, 1) - 1 AS BIGINT) AS idx,
@@ -1656,9 +1634,7 @@ def bloom_decontaminate(
     def bench_positions(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         sel = batch.filter(pa.array((ids % bench_mod) == 0, pa.bool_()))
-        chunks: list[str] = []
-        for text in sel["text"].to_pylist():
-            chunks.extend(_doc_chunks(text))
+        chunks = [c for cs in _doc_chunks(sel) for c in cs]
         if not chunks:
             return pa.Table.from_pydict({"pos": pa.array([], pa.int64())})
         h1, h2 = _bloom_h12(chunks, bits)
@@ -1677,9 +1653,7 @@ def bloom_decontaminate(
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         sel = batch.filter(pa.array((ids % bench_mod) != 0, pa.bool_()))
         out_ids, chunks, counts = [], [], []
-        for doc_id, text in zip(sel["doc_id"].to_pylist(),
-                                sel["text"].to_pylist()):
-            cs = _doc_chunks(text)
+        for doc_id, cs in zip(sel["doc_id"].to_pylist(), _doc_chunks(sel)):
             if not cs:
                 continue
             out_ids.append(doc_id)
@@ -1729,10 +1703,7 @@ def bloom_decontaminate(
 EXACT_SUBSTR_N = 3
 
 EXACT_SUBSTR_SQL = f"""
-WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+WITH d AS ({_doc_tokens_sql()}),
 ng AS (
   SELECT doc_id,
          CASE WHEN len(toks) < 3 THEN CAST([] AS VARCHAR[])
@@ -1779,18 +1750,13 @@ FROM cov GROUP BY doc_id
 def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     """(doc_id, n_tokens, n_dup_tokens, dup_frac, clean_text) — every
     token covered by a corpus-duplicated 3-gram window is removed (all
-    copies, interval union of overlapping windows); whitespace-only docs
-    are excluded like the oracle's ``trim(text) <> ''`` filter.
-
-    Same whitespace domain precondition as ``_doc_chunks`` (pinned by
-    ``test_no_divergent_whitespace``).
+    copies, interval union of overlapping windows); documents without
+    tokens are excluded like the oracle's ``len(toks) > 0`` filter.
 
     The input ds is deliberately consumed twice (occurrence pass + doc
     side) without ``materialize()``: it arrives as a column-pruned
     parquet read, so the re-execution is one streaming scan, while
     materializing would pin the corpus in the object store at scale."""
-    import pyarrow.compute as pc
-
     width = _shard_width()
     n = EXACT_SUBSTR_N
 
@@ -1798,9 +1764,8 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
         grams: list[str] = []
         ids: list[int] = []
         ss: list[int] = []
-        for did, text in zip(batch["doc_id"].to_pylist(),
-                             batch["text"].to_pylist()):
-            toks = text.strip().split()
+        for did, toks in zip(batch["doc_id"].to_pylist(),
+                             token_lists(batch)):
             for s in range(len(toks) - n + 1):
                 grams.append(" ".join(toks[s:s + n]))
                 ids.append(did)
@@ -1838,8 +1803,7 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     )
 
     def doc_side(batch: pa.Table) -> pa.Table:
-        keep = pc.not_equal(pc.utf8_trim_whitespace(batch["text"]), "")
-        b = batch.filter(keep)
+        b = batch.filter(pa.array(split(batch).counts > 0))
         return pa.Table.from_pydict(
             {"doc_id": b["doc_id"],
              "s": pa.array([-1] * len(b), pa.int64()),
@@ -1863,9 +1827,8 @@ def exact_substr_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
         for did, s in zip(mk["doc_id"].to_pylist(), mk["s"].to_pylist()):
             starts_by.setdefault(did, []).append(s)
         ids, nt, nd, fr, ct = [], [], [], [], []
-        for did, text in sorted(zip(docs["doc_id"].to_pylist(),
-                                    docs["text"].to_pylist())):
-            toks = text.strip().split()
+        for did, toks in sorted(zip(docs["doc_id"].to_pylist(),
+                                    token_lists(docs))):
             ln = len(toks)
             diff = np.zeros(ln + n, np.int64)
             st = np.asarray(starts_by.get(did, ()), np.int64)

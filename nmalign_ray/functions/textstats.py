@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -20,6 +19,7 @@ import ray.data
 
 from ..hashing import (md5_hex, md5_order_sql, md5_u32, md5_u32_sql, md5_u64,
                        md5_u64_sql)
+from ..tokens import norm_text, norm_text_sql, split, token_lists, tokens_sql
 
 # Gate on driver-side collects of VOCABULARY-sized aggregates (top_terms,
 # tfidf df map, cms final cut) — same convention as LABEL_DRIVER_MAX /
@@ -33,11 +33,9 @@ VOCAB_BROADCAST_MAX = int(
 # fallback branch is testable without a 2M-token batch)
 GOPHER_PACK_LIMIT = 2 ** 62
 
-# a token of the SQL twins' regexp_split_to_array(..., '\s+'): RE2's \s is
-# [\t\n\f\r ], narrower than str.split(), which also splits on \v, \xa0,
-# \x1c-\x1f, \x85 and the Unicode spaces.  DuckDB's trim() strips only
-# spaces, so the twins drop the '' tokens a tab or newline at an end leaves.
-_RE2_TOKEN = re.compile(r"[^\t\n\f\r ]+")
+# the SQL twins' tokens of documents.text, as cased and lowercased
+_TOKS = tokens_sql()
+_LTOKS = tokens_sql(lower=True)
 
 
 def _vocab_pandas(agg: ray.data.Dataset, what: str, empty_cols=None):
@@ -77,21 +75,6 @@ PUNCT_CLASS = r"[.,;:!?]"
 BPE_TOKEN_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
 
 
-def _tokens_and_offsets(texts: pa.ChunkedArray | pa.Array):
-    """Whitespace tokens of trimmed text as (flat_tokens, doc_boundaries)."""
-    trimmed = pc.utf8_trim_whitespace(texts)
-    toks = pc.split_pattern_regex(trimmed, r"\s+")
-    counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-    # empty text yields one empty-string token after split; count it as 0
-    empty = pc.equal(trimmed, "").to_numpy(zero_copy_only=False)
-    counts = np.where(empty, 0, counts)
-    flat = pc.list_flatten(toks)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(pc.list_value_length(toks).to_numpy(zero_copy_only=False),
-              out=offsets[1:])
-    return flat, offsets, counts
-
-
 def round_half_away(x, ndigits: int = 6):
     """Round half away from zero (DuckDB's round semantics; numpy/pandas
     round half-to-even and diverge at exact .5 boundaries, e.g. k/128
@@ -113,24 +96,10 @@ def _segment_count(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cums[offsets[1:]] - cums[offsets[:-1]]
 
 
-NORMALIZE_SQL = """
-SELECT doc_id,
-       regexp_replace(trim(lower(text)), '\\s+', ' ', 'g') AS norm_text
+NORMALIZE_SQL = f"""
+SELECT doc_id, {norm_text_sql()} AS norm_text
 FROM documents
 """
-
-
-def _norm_text(col) -> pa.ChunkedArray:
-    """The shared ``regexp_replace(trim(lower(text)), '\\s+', ' ', 'g')``
-    normalization — ONE definition keeps every normalization-based
-    operator (normalize_docs, fingerprints, winnow_fingerprints) pinned
-    to the same SQL form.  ``utf8_trim(characters=" ")`` matches DuckDB
-    ``trim()`` exactly (spaces only — NOT ``utf8_trim_whitespace``,
-    whose Unicode class diverges from trim() on tab/NBSP-edged docs),
-    and both regex engines are RE2, so parity holds on ANY input, not
-    just the whitespace-clean shipped corpus."""
-    return pc.replace_substring_regex(
-        pc.utf8_trim(pc.utf8_lower(col), " "), r"\s+", " ")
 
 
 def normalize_batch(batch: pa.Table) -> pa.Table:
@@ -139,7 +108,7 @@ def normalize_batch(batch: pa.Table) -> pa.Table:
     form: lowercase + whitespace collapse (NFKC has no DuckDB twin; the
     full regex+NFKC program runs inside the aligner via
     ``make_preprocessor``)."""
-    norm = _norm_text(batch["text"])
+    norm = norm_text(batch)
     return pa.Table.from_arrays([batch["doc_id"], norm], ["doc_id", "norm_text"])
 
 
@@ -149,15 +118,14 @@ def normalize_docs(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 TOKEN_COUNT_SQL = f"""
 SELECT doc_id,
-       CASE WHEN trim(text) = '' THEN 0
-            ELSE len(regexp_split_to_array(trim(text), '\\s+')) END AS n_tokens,
+       len({_TOKS}) AS n_tokens,
        len(regexp_extract_all(text, '{BPE_TOKEN_RE}')) AS n_bpe_tokens
 FROM documents
 """
 
 
 def token_count_batch(batch: pa.Table) -> pa.Table:
-    _, _, counts = _tokens_and_offsets(batch["text"])
+    counts = split(batch).counts
     bpe = pc.count_substring_regex(batch["text"], BPE_TOKEN_RE).to_numpy(
         zero_copy_only=False
     ).astype(np.int64)
@@ -176,33 +144,31 @@ def token_counts(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 _EN = ", ".join(f"'{w}'" for w in STOPWORDS["en"])
 
+# stop_ratio over the lowercased tokens toks (0.0 without tokens)
+_STOP_RATIO_SQL = f"""round(CASE WHEN len(toks) = 0 THEN 0.0 ELSE
+         len(list_filter(toks, t -> t IN ({_EN})))
+         / CAST(len(toks) AS DOUBLE) END, 6)"""
+_PUNCT_RATIO_SQL = """round(CASE WHEN length(text) = 0 THEN 0.0 ELSE
+         length(regexp_replace(text, '[^.,;:!?]', '', 'g'))
+         / CAST(length(text) AS DOUBLE) END, 6)"""
+
 QUALITY_SQL = f"""
+WITH d AS (SELECT doc_id, text, {_LTOKS} AS toks FROM documents)
 SELECT doc_id,
        length(text) AS n_chars,
-       CASE WHEN trim(text) = '' THEN 0
-            ELSE len(regexp_split_to_array(trim(text), '\\s+')) END AS n_tokens,
-       round(CASE WHEN trim(text) = '' THEN 0.0 ELSE
-         len(list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
-                         t -> t IN ({_EN})))
-         / CAST(len(regexp_split_to_array(trim(text), '\\s+')) AS DOUBLE) END, 6)
-         AS stop_ratio,
-       round(CASE WHEN length(text) = 0 THEN 0.0 ELSE
-         length(regexp_replace(text, '[^.,;:!?]', '', 'g'))
-         / CAST(length(text) AS DOUBLE) END, 6) AS punct_ratio,
-       (CASE WHEN trim(text) = '' THEN 0
-             ELSE len(regexp_split_to_array(trim(text), '\\s+')) END
-        BETWEEN 5 AND 10000)
-       AND round(CASE WHEN length(text) = 0 THEN 0.0 ELSE
-         length(regexp_replace(text, '[^.,;:!?]', '', 'g'))
-         / CAST(length(text) AS DOUBLE) END, 6) < 0.2 AS quality_ok
-FROM documents
+       len(toks) AS n_tokens,
+       {_STOP_RATIO_SQL} AS stop_ratio,
+       {_PUNCT_RATIO_SQL} AS punct_ratio,
+       len(toks) BETWEEN 5 AND 10000
+       AND {_PUNCT_RATIO_SQL} < 0.2 AS quality_ok
+FROM d
 """
 
 
 def quality_batch(batch: pa.Table) -> pa.Table:
+    flat, offsets, counts = split(batch, lower=True)
     text = batch["text"]
     n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat, offsets, counts = _tokens_and_offsets(pc.utf8_lower(text))
     stop_hits = _segment_count(
         pc.is_in(flat, value_set=pa.array(STOPWORDS["en"])).to_numpy(
             zero_copy_only=False
@@ -237,14 +203,11 @@ def quality_scores(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 def _lang_hits_sql(lang: str) -> str:
     words = ", ".join(f"'{w}'" for w in STOPWORDS[lang])
-    return (
-        "CASE WHEN trim(text) = '' THEN 0 ELSE "
-        f"len(list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'), "
-        f"t -> t IN ({words}))) END"
-    )
+    return f"len(list_filter(toks, t -> t IN ({words})))"
 
 
 LANG_ID_SQL = f"""
+WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents)
 SELECT doc_id,
        CASE
          WHEN greatest({_lang_hits_sql('de')}, {_lang_hits_sql('en')},
@@ -258,12 +221,12 @@ SELECT doc_id,
          WHEN {_lang_hits_sql('es')} >= {_lang_hits_sql('fr')} THEN 'es'
          ELSE 'fr'
        END AS pred_lang
-FROM documents
+FROM d
 """
 
 
 def lang_id_batch(batch: pa.Table) -> pa.Table:
-    flat, offsets, counts = _tokens_and_offsets(pc.utf8_lower(batch["text"]))
+    flat, offsets, _ = split(batch, lower=True)
     hits = {}
     for lang, words in STOPWORDS.items():
         mask = pc.is_in(flat, value_set=pa.array(words)).to_numpy(
@@ -291,16 +254,14 @@ def lang_id(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ds.map_batches(lang_id_batch, batch_format="pyarrow")
 
 
-FINGERPRINT_SQL = """
-SELECT doc_id,
-       md5(regexp_replace(trim(lower(text)), '\\s+', ' ', 'g')) AS fingerprint
+FINGERPRINT_SQL = f"""
+SELECT doc_id, md5({norm_text_sql()}) AS fingerprint
 FROM documents
 """
 
 
 def fingerprint_batch(batch: pa.Table) -> pa.Table:
-    norm = _norm_text(batch["text"])
-    fps = md5_hex(norm)
+    fps = md5_hex(norm_text(batch))
     return pa.Table.from_pydict({"doc_id": batch["doc_id"], "fingerprint": fps})
 
 
@@ -313,12 +274,7 @@ def fingerprints(ds: ray.data.Dataset) -> ray.data.Dataset:
 QUALITY_FILTER_SQL = f"""
 SELECT doc_id, length(text) AS n_chars
 FROM documents
-WHERE (CASE WHEN trim(text) = '' THEN 0
-            ELSE len(regexp_split_to_array(trim(text), '\\s+')) END
-       BETWEEN 5 AND 10000)
-  AND round(CASE WHEN length(text) = 0 THEN 0.0 ELSE
-        length(regexp_replace(text, '[^.,;:!?]', '', 'g'))
-        / CAST(length(text) AS DOUBLE) END, 6) < 0.2
+WHERE len({_TOKS}) BETWEEN 5 AND 10000 AND {_PUNCT_RATIO_SQL} < 0.2
 """
 
 
@@ -343,15 +299,19 @@ TOP_TERMS_K = 20
 
 TOP_TERMS_SQL = f"""
 SELECT t AS term, count(*) AS cnt
-FROM (
-  SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
-  FROM documents WHERE trim(text) <> ''
-)
-WHERE t <> ''
+FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
 GROUP BY t
 ORDER BY cnt DESC, term
 LIMIT {TOP_TERMS_K}
 """
+
+
+def _term_counts(batch: pa.Table) -> pa.Table:
+    """(term, cnt) of the batch's lowercased tokens: the vocabulary-sized
+    partial of every corpus term count."""
+    vc = pc.value_counts(split(batch, lower=True).flat)
+    return pa.Table.from_arrays([vc.field("values"), vc.field("counts")],
+                                ["term", "cnt"])
 
 
 def top_terms(ds: ray.data.Dataset, k: int = TOP_TERMS_K) -> ray.data.Dataset:
@@ -363,20 +323,9 @@ def top_terms(ds: ray.data.Dataset, k: int = TOP_TERMS_K) -> ray.data.Dataset:
     final top-k cut orders by (cnt DESC, term ASC) — the SQL twin's
     total order — over the distinct-term aggregate, which is
     vocabulary-small by construction."""
-    from collections import Counter
-
     from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for text in batch["text"].to_pylist():
-            counts.update(_RE2_TOKEN.findall(text.lower()))
-        return pa.Table.from_pydict(
-            {"term": pa.array(list(counts.keys()), pa.string()),
-             "cnt": pa.array(list(counts.values()), pa.int64())}
-        )
-
-    agg = ds.map_batches(partial, batch_format="pyarrow").groupby(
+    agg = ds.map_batches(_term_counts, batch_format="pyarrow").groupby(
         "term"
     ).aggregate(Sum("cnt", alias_name="cnt"))
 
@@ -399,13 +348,8 @@ def top_terms(ds: ray.data.Dataset, k: int = TOP_TERMS_K) -> ray.data.Dataset:
 # Python, no shuffle (the signals are per-document).
 # ---------------------------------------------------------------------------
 
-GOPHER_SIGNALS_SQL = """
-WITH d AS (
-  SELECT doc_id,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE regexp_split_to_array(trim(lower(text)), '\\s+') END AS toks
-  FROM documents
-),
+GOPHER_SIGNALS_SQL = f"""
+WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 tc AS (SELECT doc_id, t, count(*) AS c FROM tok GROUP BY 1, 2),
 uni AS (SELECT doc_id, sum(c) AS n_tokens, count(*) AS n_distinct,
@@ -434,18 +378,13 @@ FROM d LEFT JOIN uni USING (doc_id) LEFT JOIN bi USING (doc_id)
 
 
 def gopher_signals_batch(batch: pa.Table) -> pa.Table:
-    flat, offsets, counts = _tokens_and_offsets(pc.utf8_lower(batch["text"]))
+    flat, _, counts = split(batch, lower=True)
     ndocs = len(counts)
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
     n_tokens = counts.astype(np.int64)
     n_distinct = np.zeros(ndocs, dtype=np.int64)
     top_c = np.zeros(ndocs, dtype=np.int64)
     n_2grams = np.maximum(n_tokens - 1, 0)
     n_distinct2 = np.zeros(ndocs, dtype=np.int64)
-    # an empty document yields one empty-string artifact token after the
-    # split (counted as 0 in counts); drop it so flat aligns with counts
-    flat = pc.filter(flat, pc.not_equal(flat, ""))
     if len(flat) > 0:
         enc = pc.dictionary_encode(flat)
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -635,14 +574,11 @@ def hash_sample(ds: ray.data.Dataset, mod: int = HASH_SAMPLE_MOD) -> ray.data.Da
 TFIDF_TOP_K = 3
 
 TFIDF_TOP_TERMS_SQL = f"""
-WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
-),
+WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS term FROM d),
 tc AS (SELECT doc_id, term, count(*) AS cnt FROM tok GROUP BY 1, 2),
 df AS (SELECT term, count(*) AS df FROM tc GROUP BY 1),
-n AS (SELECT count(*) AS n FROM d),
+n AS (SELECT count(*) AS n FROM d WHERE len(toks) > 0),
 sc AS (
   SELECT tc.doc_id, tc.term,
          round(CAST(tc.cnt AS DOUBLE) * ln((n.n + 1.0) / (df.df + 1.0)),
@@ -661,11 +597,7 @@ def _doc_term_counts(batch: pa.Table):
     """Per-batch (doc_row, term_code, count) triples plus the batch
     dictionary, via one dictionary-encode + one np.unique — no per-row
     Python."""
-    flat, _, counts = _tokens_and_offsets(
-        pc.utf8_lower(batch["text"]))
-    flat = pc.filter(flat, pc.not_equal(flat, ""))
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
+    flat, _, counts = split(batch, lower=True)
     ndocs = len(counts)
     if len(flat) == 0:
         return (np.array([], np.int64), np.array([], np.int64),
@@ -831,11 +763,7 @@ SELECT term,
        count(*) AS df,
        array_to_string(list_sort(list(doc_id))[1:{MAX_POSTINGS}], ',')
          AS postings
-FROM (
-  SELECT DISTINCT doc_id,
-         unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS term
-  FROM documents WHERE trim(text) <> ''
-)
+FROM (SELECT DISTINCT doc_id, unnest({_LTOKS}) AS term FROM documents)
 GROUP BY term
 """
 
@@ -915,11 +843,7 @@ KMV_K = 16
 KMV_DISTINCT_SQL = f"""
 WITH h AS (
   SELECT DISTINCT {md5_u64_sql("t")} AS hv
-  FROM (
-    SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
-    FROM documents WHERE trim(text) <> ''
-  )
-  WHERE t <> ''
+  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
 ),
 k AS (SELECT hv FROM h ORDER BY hv LIMIT {KMV_K})
 SELECT CAST({KMV_K} AS BIGINT) AS k,
@@ -944,10 +868,8 @@ def kmv_distinct(ds: ray.data.Dataset, k: int = KMV_K) -> ray.data.Dataset:
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        toks: set[str] = set()
-        for text in batch["text"].to_pylist():
-            toks.update(_RE2_TOKEN.findall(text.lower()))
-        hv = np.unique(md5_u64(list(toks)))[:k]
+        toks = pc.unique(split(batch, lower=True).flat)
+        hv = np.unique(md5_u64(toks))[:k]
         return pa.Table.from_pydict({"hv": pa.array(hv, pa.uint64())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
@@ -991,9 +913,7 @@ _HLL_LOW = (1 << (64 - HLL_P)) - 1
 HLL_DISTINCT_SQL = f"""
 WITH h AS (
   SELECT DISTINCT {md5_u64_sql("t")} AS hv
-  FROM (SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
-        FROM documents WHERE trim(text) <> '')
-  WHERE t <> ''
+  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
 ),
 reg AS (
   SELECT CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,
@@ -1023,17 +943,14 @@ FROM s
 """
 
 
-def _hll_registers(texts) -> dict[int, int]:
-    """The HLL registers (bucket -> rho) of the distinct tokens of
-    ``texts``, split and lowered as the SQL twins do.  Tokens are unioned
-    BEFORE hashing (the kmv_distinct pattern): registers merge by max, so
-    one md5 per distinct token gives identical output to per-doc hashing."""
-    toks: set[str] = set()
-    for text in texts:
-        toks.update(_RE2_TOKEN.findall(text.lower()))
+def _hll_registers(toks) -> dict[int, int]:
+    """The HLL registers (bucket -> rho) of the distinct tokens ``toks``.
+    Tokens are unioned BEFORE hashing (the kmv_distinct pattern):
+    registers merge by max, so one md5 per distinct token gives identical
+    output to per-doc hashing."""
     shift = 64 - HLL_P
     regs: dict[int, int] = {}
-    for hv in md5_u64(list(toks)).tolist():
+    for hv in md5_u64(toks).tolist():
         w = hv & _HLL_LOW
         rho = shift + 1 if w == 0 else shift + 1 - w.bit_length()
         if rho > regs.get(hv >> shift, 0):
@@ -1067,7 +984,7 @@ def hll_distinct(ds: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data.aggregate import Max
 
     def partial(batch: pa.Table) -> pa.Table:
-        regs = _hll_registers(batch["text"].to_pylist())
+        regs = _hll_registers(pc.unique(split(batch, lower=True).flat))
         return pa.Table.from_pydict(
             {"bucket": pa.array(list(regs.keys()), pa.int64()),
              "rho": pa.array(list(regs.values()), pa.int64())})
@@ -1105,22 +1022,15 @@ MIX_TOKEN_BUDGET = 800
 def _narrow_token_rows(batch: pa.Table, with_source: bool = False
                        ) -> pa.Table:
     """Shared narrow projection for the md5-ordered token operators
-    (mix_sample, pack_sequences): skip empty docs, md5(doc_id) order key,
-    whitespace token count.  ONE definition keeps both operators pinned
-    to the same SQL-oracle tokenization rules."""
-    # tokenize vectorized in Arrow (trim -> regex split -> list length:
-    # the oracle's len(regexp_split_to_array(trim(text),'\s+')) exactly);
-    # the md5 per doc_id stays a Python loop — it IS the determinism
-    # contract, and it runs over the narrow non-empty ids only
-    trimmed = pc.utf8_trim_whitespace(
-        batch["text"].combine_chunks().cast(pa.string()))
-    keep = pc.not_equal(trimmed, "")
-    n_tokens = pc.list_value_length(
-        pc.split_pattern_regex(trimmed.filter(keep), r"\s+")).cast(pa.int64())
+    (mix_sample, pack_sequences): skip documents without tokens,
+    md5(doc_id) order key, token count.  The md5 per doc_id stays a
+    Python loop (it IS the determinism contract) over the kept ids only."""
+    counts = split(batch).counts
+    keep = pa.array(counts > 0)
     ids = batch["doc_id"].combine_chunks().filter(keep)
     out = {"doc_id": ids.cast(pa.int64()),
            "hkey": pa.array(md5_hex(ids), pa.string()),
-           "n_tokens": n_tokens}
+           "n_tokens": pa.array(counts[counts > 0], pa.int64())}
     if with_source:
         out = {"source": batch["source"].combine_chunks().filter(keep)
                .cast(pa.string()), **out}
@@ -1151,11 +1061,8 @@ FROM (
            PARTITION BY source
            ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
-  FROM (
-    SELECT source, doc_id,
-           len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-    FROM documents WHERE trim(text) <> ''
-  )
+  FROM (SELECT source, doc_id, len({_TOKS}) AS n_tokens FROM documents)
+  WHERE n_tokens > 0
 )
 WHERE cum_tokens <= {MIX_TOKEN_BUDGET}
 """
@@ -1199,14 +1106,9 @@ def mix_sample(ds: ray.data.Dataset, budget: int = MIX_TOKEN_BUDGET
 
 SOFT_SAMPLE_SQL = f"""
 WITH q AS (
-  SELECT doc_id,
-         round(CASE WHEN trim(text) = '' THEN 0.0 ELSE
-           len(list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
-                           t -> t IN ({_EN})))
-           / CAST(len(regexp_split_to_array(trim(text), '\\s+')) AS DOUBLE)
-           END, 6) AS stop_ratio,
+  SELECT doc_id, {_STOP_RATIO_SQL} AS stop_ratio,
          {md5_u32_sql("doc_id")} / 4294967296.0 AS hash_frac
-  FROM documents
+  FROM (SELECT doc_id, {_LTOKS} AS toks FROM documents)
 )
 SELECT doc_id,
        least(1.0, 2.0 * stop_ratio) AS keep_prob,
@@ -1261,11 +1163,7 @@ CMS_TOPK = 30
 CMS_HEAVY_HITTERS_SQL = f"""
 WITH counts AS (
   SELECT t, count(*) AS c
-  FROM (
-    SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
-    FROM documents WHERE trim(text) <> ''
-  )
-  WHERE t <> ''
+  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
   GROUP BY t
 ),
 hashed AS (
@@ -1295,17 +1193,7 @@ def cms_heavy_hitters(ds: ray.data.Dataset, depth: int = CMS_DEPTH,
                       width: int = CMS_WIDTH, k: int = CMS_TOPK
                       ) -> ray.data.Dataset:
     """Exact top-k terms with their count-min sketch estimates."""
-    from collections import Counter
-
     from ray.data.aggregate import Sum
-
-    def term_partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for text in batch["text"].to_pylist():
-            counts.update(_RE2_TOKEN.findall(text.lower()))
-        return pa.Table.from_pydict(
-            {"term": pa.array(list(counts.keys()), pa.string()),
-             "cnt": pa.array(list(counts.values()), pa.int64())})
 
     def cols(terms) -> np.ndarray:
         """(depth, len(terms)) sketch columns: (h1 + i*h2) % width."""
@@ -1319,7 +1207,7 @@ def cms_heavy_hitters(ds: ray.data.Dataset, depth: int = CMS_DEPTH,
     # the whole r3->r4 "regression" on this query (two executions, 2.2-4.8 s
     # vs 1.4 s).  The pinned blocks are vocabulary-sized (the aggregate's
     # own output), never corpus-sized.
-    vocab = ds.map_batches(term_partial, batch_format="pyarrow").groupby(
+    vocab = ds.map_batches(_term_counts, batch_format="pyarrow").groupby(
         "term").aggregate(Sum("cnt", alias_name="cnt")).materialize()
 
     def cell_partial(batch: pa.Table) -> pa.Table:
@@ -1455,11 +1343,8 @@ FROM (
          sum(n_tokens) OVER (
            ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
-  FROM (
-    SELECT doc_id,
-           len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-    FROM documents WHERE trim(text) <> ''
-  )
+  FROM (SELECT doc_id, len({_TOKS}) AS n_tokens FROM documents)
+  WHERE n_tokens > 0
 )
 """
 
@@ -1533,8 +1418,8 @@ def _bm25_term_sql(i: int) -> str:
 
 BM25_TOPK_SQL = f"""
 WITH d AS (
-  SELECT doc_id, regexp_split_to_array(trim(lower(text)), '\\s+') AS toks
-  FROM documents WHERE trim(text) <> ''
+  SELECT doc_id, toks FROM (SELECT doc_id, {_LTOKS} AS toks FROM documents)
+  WHERE len(toks) > 0
 ),
 st AS (
   SELECT doc_id, len(toks) AS dl,
@@ -1570,14 +1455,13 @@ def bm25_topk(ds: ray.data.Dataset, terms=BM25_TERMS, k: int = BM25_TOP_K,
     """Top-k documents by BM25 score for a fixed query-term set."""
 
     def narrow(batch: pa.Table) -> pa.Table:
-        flat, offsets, counts = _tokens_and_offsets(
-            pc.utf8_lower(batch["text"]))
+        flat, offsets, counts = split(batch, lower=True)
         cols = {"doc_id": batch["doc_id"].to_numpy(zero_copy_only=False),
                 "dl": counts}
         for i, t in enumerate(terms):
             mask = pc.equal(flat, t).to_numpy(zero_copy_only=False)
             cols[f"tf{i}"] = _segment_count(mask, offsets)
-        keep = counts > 0  # SQL twin's WHERE trim(text) <> ''
+        keep = counts > 0  # SQL twin's WHERE len(toks) > 0
         return pa.Table.from_pydict(
             {name: pa.array(v[keep], pa.int64())
              for name, v in cols.items()})
@@ -1601,11 +1485,11 @@ def bm25_topk(ds: ray.data.Dataset, terms=BM25_TERMS, k: int = BM25_TOP_K,
         stats_partial, batch_format="pyarrow").to_pandas()
     # an all-empty corpus yields a zero-row (column-less) frame
     n = int(parts["n"].sum()) if "n" in parts.columns else 0
+    empty = pa.Table.from_pydict({"doc_id": pa.array([], pa.int64()),
+                                  "score": pa.array([], pa.float64()),
+                                  "rank": pa.array([], pa.int64())})
     if n == 0:
-        return ray.data.from_arrow(pa.Table.from_pydict(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64()),
-             "rank": pa.array([], pa.int64())}))
+        return ray.data.from_arrow(empty)
     sum_dl = int(parts["sum_dl"].sum())
     dfs = [int(parts[f"df{i}"].sum()) for i in range(len(terms))]
     avgdl = sum_dl / n  # CAST(sum_dl AS DOUBLE) / n
@@ -1634,6 +1518,8 @@ def bm25_topk(ds: ray.data.Dataset, terms=BM25_TERMS, k: int = BM25_TOP_K,
     # k rows per block reach the driver; final cut + exact rank
     pool = stats_src.map_batches(score_cut,
                                  batch_format="pyarrow").to_pandas()
+    if "score" not in pool.columns:  # no document holds a query term
+        return ray.data.from_arrow(empty)
     pool = pool.sort_values(["score", "doc_id"],
                             ascending=[False, True]).head(k)
     pool["rank"] = np.arange(1, len(pool) + 1, dtype=np.int64)
@@ -1656,11 +1542,7 @@ PMI_MIN_COUNT = 5
 PMI_TOP_K = 30
 
 PMI_BIGRAMS_SQL = f"""
-WITH d AS (
-  SELECT CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-         ELSE regexp_split_to_array(trim(lower(text)), '\\s+') END AS toks
-  FROM documents
-),
+WITH d AS (SELECT {_LTOKS} AS toks FROM documents),
 tok AS (SELECT unnest(toks) AS t FROM d),
 uni AS (SELECT t, count(*) AS c FROM tok GROUP BY 1),
 n1 AS (SELECT count(*) AS n FROM tok),
@@ -1690,10 +1572,7 @@ def pmi_bigrams(ds: ray.data.Dataset, min_count: int = PMI_MIN_COUNT,
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        flat, offsets, _ = _tokens_and_offsets(
-            pc.utf8_lower(batch["text"]))
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
+        flat, offsets, _ = split(batch, lower=True)
         grams: list = []
         kinds: list = []
         cnts: list = []
@@ -1702,8 +1581,7 @@ def pmi_bigrams(ds: ray.data.Dataset, min_count: int = PMI_MIN_COUNT,
             codes = enc.indices.to_numpy(zero_copy_only=False).astype(
                 np.int64)
             vocab = enc.dictionary.to_pylist()
-            nonempty = np.array([t != "" for t in vocab], bool)[codes]
-            ucode, ucnt = np.unique(codes[nonempty], return_counts=True)
+            ucode, ucnt = np.unique(codes, return_counts=True)
             grams += [vocab[c] for c in ucode]
             kinds += ["u"] * len(ucode)
             cnts += [int(x) for x in ucnt]
@@ -1711,8 +1589,7 @@ def pmi_bigrams(ds: ray.data.Dataset, min_count: int = PMI_MIN_COUNT,
                 valid = np.ones(len(codes) - 1, bool)
                 # pairs crossing a document boundary are not bigrams
                 inner = offsets[1:-1]
-                valid[inner[inner > 0] - 1] = False
-                valid &= nonempty[:-1] & nonempty[1:]
+                valid[inner[(inner > 0) & (inner < len(codes))] - 1] = False
                 if valid.any():
                     v = len(vocab)
                     key = codes[:-1][valid] * v + codes[1:][valid]
@@ -1784,10 +1661,7 @@ WINNOW_K = 8   # gram size (chars of the normalized text)
 WINNOW_W = 4   # window size (hashes); guarantee threshold = K + W - 1
 
 WINNOW_SQL = f"""
-WITH d AS (
-  SELECT doc_id, regexp_replace(trim(lower(text)), '\\s+', ' ', 'g') AS t
-  FROM documents
-),
+WITH d AS (SELECT doc_id, {norm_text_sql()} AS t FROM documents),
 h AS (
   SELECT doc_id,
          [{md5_u64_sql(f"substr(t, i, {WINNOW_K})")}
@@ -1811,7 +1685,7 @@ SELECT DISTINCT doc_id, CAST(s.pos AS BIGINT) AS pos, s.fp AS fp FROM w
 
 def winnow_batch(batch: pa.Table, k: int = WINNOW_K,
                  w: int = WINNOW_W) -> pa.Table:
-    norm = _norm_text(batch["text"])
+    norm = norm_text(batch)
     ids_out: list = []
     pos_out: list = []
     fp_out: list = []
@@ -1973,13 +1847,8 @@ def temperature_mix(ds: ray.data.Dataset) -> ray.data.Dataset:
 # vocabulary-bounded, not corpus-bounded.
 # ---------------------------------------------------------------------------
 
-DOC_PERPLEXITY_SQL = """
-WITH d AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
-                     t -> t <> '') AS toks
-  FROM documents
-),
+DOC_PERPLEXITY_SQL = f"""
+WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 lm AS (SELECT t, count(*) AS c FROM tok GROUP BY t),
 tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM lm),
@@ -2013,14 +1882,6 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for text in batch["text"].to_pylist():
-            counts.update(_RE2_TOKEN.findall(text.lower()))
-        return pa.Table.from_pydict(
-            {"term": pa.array(list(counts.keys()), pa.string()),
-             "cnt": pa.array(list(counts.values()), pa.int64())})
-
     # the input ds is deliberately consumed TWICE (count pass + score
     # pass) WITHOUT materialize(): these callables receive a plain
     # column-pruned parquet read, so the re-execution is one streaming
@@ -2028,7 +1889,7 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
     # store at 100-TB scale (the cms_heavy_hitters materialize-once rule
     # applies to SMALL derived aggregates, not corpus-sized inputs)
     vocab = _vocab_pandas(
-        ds.map_batches(count_partial, batch_format="pyarrow")
+        ds.map_batches(_term_counts, batch_format="pyarrow")
           .groupby("term").aggregate(Sum("cnt", alias_name="cnt")),
         "doc_perplexity", empty_cols={"term": "object", "cnt": "int64"})
     total = int(vocab["cnt"].sum())
@@ -2040,8 +1901,7 @@ def doc_perplexity(ds: ray.data.Dataset) -> ray.data.Dataset:
         lm = ray.get(ref)
         ids = batch["doc_id"].to_pylist()
         n_toks, avgs, ppls = [], [], []
-        for text in batch["text"].to_pylist():
-            toks = _RE2_TOKEN.findall(text.lower())
+        for toks in token_lists(batch, lower=True):
             n = len(toks)
             n_toks.append(n)
             if n == 0:
@@ -2186,12 +2046,7 @@ DSIR_TARGET_LANG = "en"
 _DSIR_BKT = f"CAST({md5_u32_sql('g')} % {DSIR_BUCKETS} AS BIGINT)"
 
 DSIR_SAMPLE_SQL = f"""
-WITH d AS (
-  SELECT doc_id, lang,
-         list_filter(regexp_split_to_array(trim(lower(text)), '\\s+'),
-                     t -> t <> '') AS toks
-  FROM documents
-),
+WITH d AS (SELECT doc_id, lang, {_LTOKS} AS toks FROM documents),
 grams AS (
   SELECT doc_id, lang, unnest(toks) AS g FROM d
   UNION ALL
@@ -2228,9 +2083,8 @@ FROM d LEFT JOIN w USING (doc_id)
 """
 
 
-def _dsir_buckets(text: str) -> list[int]:
-    """The bucket of each unigram and bigram of ``text``."""
-    toks = _RE2_TOKEN.findall(text.lower())
+def _dsir_buckets(toks: list[str]) -> list[int]:
+    """The bucket of each unigram and bigram of the tokens ``toks``."""
     grams = toks + [a + " " + b for a, b in zip(toks, toks[1:])]
     return (md5_u32(grams) % DSIR_BUCKETS).tolist()
 
@@ -2251,9 +2105,9 @@ def dsir_sample(ds: ray.data.Dataset,
     def count_partial(batch: pa.Table) -> pa.Table:
         c_all: Counter = Counter()
         c_tgt: Counter = Counter()
-        for text, lang in zip(batch["text"].to_pylist(),
+        for toks, lang in zip(token_lists(batch, lower=True),
                               batch["lang"].to_pylist()):
-            bkts = _dsir_buckets(text)
+            bkts = _dsir_buckets(toks)
             c_all.update(bkts)
             if lang == target_lang:
                 c_tgt.update(bkts)
@@ -2283,14 +2137,13 @@ def dsir_sample(ds: ray.data.Dataset,
     def score(batch: pa.Table) -> pa.Table:
         r = ray.get(ref)
         ids, ws = [], []
-        for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                                batch["text"].to_pylist()):
+        for doc_id, toks in zip(batch["doc_id"].to_pylist(),
+                                token_lists(batch, lower=True)):
             ids.append(doc_id)
             s = 0.0
             # sequential fold over bucket-sorted terms = the SQL twin's
             # list_sum(list(term ORDER BY b))
-            for b, nb in sorted(
-                    Counter(_dsir_buckets(text)).items()):
+            for b, nb in sorted(Counter(_dsir_buckets(toks)).items()):
                 s += float(nb) * r[b]
             ws.append(s)
         w = np.array(ws, np.float64)
@@ -2390,10 +2243,8 @@ SELECT pair, cnt FROM (
   SELECT substr(w, CAST(i AS INT), 2) AS pair, count(*) AS cnt
   FROM (
     SELECT w, unnest(generate_series(1, length(w) - 1)) AS i
-    FROM (
-      SELECT unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS w
-      FROM documents WHERE trim(text) <> ''
-    ) WHERE length(w) >= 2
+    FROM (SELECT unnest({_LTOKS}) AS w FROM documents)
+    WHERE length(w) >= 2
   )
   GROUP BY pair
 )
@@ -2411,19 +2262,17 @@ def bpe_pair_counts(ds: ray.data.Dataset, k: int = BPE_PAIRS_K
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        trimmed = pc.utf8_trim_whitespace(pc.utf8_lower(batch["text"]))
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(trimmed, r"\s+"))
+        toks = split(batch, lower=True).flat
         if len(toks) == 0:
             return pa.Table.from_pydict(
                 {"pair": pa.array([], pa.string()),
                  "cnt": pa.array([], pa.int64())})
-        enc = pc.dictionary_encode(toks.combine_chunks())
+        enc = pc.dictionary_encode(toks)
         codes = enc.indices.to_numpy(zero_copy_only=False)
         tok_cnt = np.bincount(codes, minlength=len(enc.dictionary))
         counts: Counter = Counter()
         for tok, n in zip(enc.dictionary.to_pylist(), tok_cnt):
-            if len(tok) < 2 or n == 0:  # '' split artifact has n>0, len 0
+            if len(tok) < 2:
                 continue
             for i in range(len(tok) - 1):
                 counts[tok[i:i + 2]] += int(n)
@@ -2459,10 +2308,7 @@ def bpe_pair_counts(ds: ray.data.Dataset, k: int = BPE_PAIRS_K
 SOURCE_HLL_SQL = f"""
 WITH h AS (
   SELECT DISTINCT source, {md5_u64_sql("t")} AS hv
-  FROM (SELECT source,
-               unnest(regexp_split_to_array(trim(lower(text)), '\\s+')) AS t
-        FROM documents WHERE trim(text) <> '')
-  WHERE t <> ''
+  FROM (SELECT source, unnest({_LTOKS}) AS t FROM documents)
 ),
 reg AS (
   SELECT source, CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,
@@ -2502,13 +2348,13 @@ def source_hll(ds: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data.aggregate import Max
 
     def partial(batch: pa.Table) -> pa.Table:
-        by_src: dict[str, list] = {}
-        for src, text in zip(batch["source"].to_pylist(),
-                             batch["text"].to_pylist()):
-            by_src.setdefault(src, []).append(text)
+        by_src: dict[str, set] = {}
+        for src, toks in zip(batch["source"].to_pylist(),
+                             token_lists(batch, lower=True)):
+            by_src.setdefault(src, set()).update(toks)
         srcs, buckets, rhos = [], [], []
-        for src, texts in by_src.items():
-            regs = _hll_registers(texts)
+        for src, toks in by_src.items():
+            regs = _hll_registers(toks)
             srcs.extend([src] * len(regs))
             buckets.extend(regs.keys())
             rhos.extend(regs.values())

@@ -38,8 +38,8 @@ class TestMinhash:
         assert ((pairs.jaccard >= 0.5) & (pairs.jaccard <= 1.0)).all()
 
     def test_empty_docs_emit_no_pairs(self, ray_session):
-        # empty/whitespace-only docs are OUTSIDE the candidate universe,
-        # matching the SQL twin's WHERE trim(text) <> '' — without the
+        # token-less docs are OUTSIDE the candidate universe, matching
+        # the SQL twin's WHERE len(toks) > 0 — without the
         # band-row skip the shared sentinel signature would pair every
         # empty doc with every other at jaccard 1.0
         ds = ray_session.data.from_arrow(docs_table(["", "   ", BASE, ""]))
@@ -1562,6 +1562,16 @@ class TestBm25TopK:
              "text": pa.array(["", "  "], pa.string())})
         out = ts.bm25_topk(ray_session.data.from_arrow(tbl)).to_pandas()
         assert len(out) == 0
+
+    def test_no_query_term_typed_empty(self, ray_session):
+        from nmalign_ray.functions import textstats as ts
+
+        tbl = pa.Table.from_pydict(
+            {"doc_id": pa.array([1, 2], pa.int64()),
+             "text": pa.array(["der die", "\tund"], pa.string())})
+        out = ts.bm25_topk(ray_session.data.from_arrow(tbl))
+        assert out.schema().names == ["doc_id", "score", "rank"]
+        assert len(out.to_pandas()) == 0
 
 
 class TestPmiBigrams:

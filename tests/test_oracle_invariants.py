@@ -338,13 +338,12 @@ def test_no_doc_exceeds_salt_threshold(sf_dir):
 
 @pytest.mark.parametrize("sf_dir", SF_DIRS)
 def test_no_divergent_whitespace(sf_dir):
-    """Every text SQL twin assumes python tokenization == DuckDB/RE2
-    tokenization, which holds only on texts (a) free of exotic
-    whitespace — ``\\v``, NBSP, unicode spaces split python-side but not
-    RE2-side — and (b) whose edges carry no non-space whitespace
-    (DuckDB ``trim()`` strips spaces only; python ``strip()`` strips
-    all).  Pin that domain precondition on the shipped documents table
-    instead of leaving it implicit in 20+ oracles (round-5 review)."""
+    """The shipped documents hold no whitespace on which ``str.split()``
+    and RE2's ``\\s`` disagree (``\\v``, NBSP, the Unicode spaces) and no
+    non-space whitespace at an edge.  The text twins no longer rely on
+    this: both sides tokenize through ``nmalign_ray/tokens.py``, and
+    ``tests/test_tokens.py`` checks them on arbitrary text.  This pins
+    only what the fixture corpus is."""
     import pyarrow.parquet as pq
 
     safe_ws = set(" \t\n\r\f")  # in BOTH python-split and RE2 \s

@@ -1,8 +1,8 @@
 """Shared brute-force reference for the winnowing fingerprint tests —
 ONE hand-maintained copy of the algorithm (rightmost-min tie rule) and
-of the normalization contract, mirroring `textstats._norm_text` /
-`WINNOW_SQL` exactly: lower -> trim SPACES only (DuckDB trim()) ->
-collapse the RE2 ASCII whitespace class."""
+of the normalization contract, mirroring `tokens.norm_text` /
+`WINNOW_SQL`: lower -> trim (DuckDB trim(); spaces, for these tests'
+texts) -> collapse the RE2 ASCII whitespace class."""
 import hashlib
 import re
 
