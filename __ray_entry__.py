@@ -35,7 +35,7 @@ _REPO_DIR = os.path.dirname(os.path.abspath(__file__))
 if _REPO_DIR not in sys.path:
     sys.path.insert(0, _REPO_DIR)
 
-from nmalign_ray.tokens import tokens_sql  # noqa: E402
+from nmalign_ray.tokens import doc_tokens_sql  # noqa: E402
 
 # bump _GEN_VERSION whenever corpus derivation changes — it keys the /tmp
 # cache so stale corpora from older code can never leak into a run
@@ -788,8 +788,7 @@ _SEGS = f"""segs AS (
   SELECT doc_id AS key, 'doc-' || doc_id AS doc_id,
          [array_to_string(toks[i:i+7], ' ')
           for i in generate_series(1, len(toks), 8)] AS seglist
-  FROM (SELECT doc_id, {tokens_sql()} AS toks FROM documents)
-  WHERE len(toks) > 0
+  FROM ({doc_tokens_sql()})
 ),
 x AS (
   SELECT key, doc_id,

@@ -30,7 +30,8 @@ from ray.data.aggregate import Count, Min
 
 from ..hashing import blake2b_u64, crc32_mod, md5_hex, md5_u64, md5_u64_sql
 from ..schema import cluster_cpus
-from ..tokens import norm_text_sql, split, token_lists, tokens_sql
+from ..tokens import (NORM_TEXT_SQL, doc_tokens_sql, split, token_lists,
+                      tokens_sql)
 from .textstats import fingerprint_batch, round6
 
 NUM_PERM = 64
@@ -38,15 +39,8 @@ NUM_BANDS = 16  # 16 bands x 4 rows
 _MERSENNE = (1 << 61) - 1
 
 
-def _doc_tokens_sql(lower: bool = False) -> str:
-    """The SQL twins' documents with at least one token, as (doc_id, toks)."""
-    return f"""SELECT doc_id, toks
-  FROM (SELECT doc_id, {tokens_sql(lower=lower)} AS toks FROM documents)
-  WHERE len(toks) > 0"""
-
-
 EXACT_DEDUP_SQL = f"""
-SELECT md5({norm_text_sql()}) AS fingerprint,
+SELECT md5({NORM_TEXT_SQL}) AS fingerprint,
        min(doc_id) AS keep_doc_id,
        count(*) AS dup_count
 FROM documents
@@ -344,7 +338,7 @@ def jaccard(a: set, b: set) -> float:
 # exact Jaccard both sides.  Documents without tokens are excluded on
 # both sides.
 MINHASH_NEAR_DUPS_SQL = f"""
-WITH docs AS ({_doc_tokens_sql(lower=True)}),
+WITH docs AS ({doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -760,7 +754,7 @@ JACCARD_SAMPLE_MAX_ID = 50
 
 JACCARD_SAMPLE_SQL = f"""
 WITH docs AS (
-  SELECT * FROM ({_doc_tokens_sql(lower=True)}) WHERE doc_id < {JACCARD_SAMPLE_MAX_ID}
+  SELECT * FROM ({doc_tokens_sql(lower=True)}) WHERE doc_id < {JACCARD_SAMPLE_MAX_ID}
 ),
 sh AS (
   SELECT doc_id,
@@ -819,7 +813,7 @@ def jaccard_sample(ds: ray.data.Dataset, max_id: int = JACCARD_SAMPLE_MAX_ID) ->
 # bit-identical.  Sums over BIGINT are HUGEINT in DuckDB -> cast (the
 # r4 hasher lesson, enforced by the oracle-type gate).
 SHINGLE_NOVELTY_SQL = f"""
-WITH docs AS ({_doc_tokens_sql(lower=True)}),
+WITH docs AS ({doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -922,7 +916,7 @@ DEDUP_KEEPERS_SQL = f"""
 SELECT d.doc_id, d.n_chars
 FROM documents d
 JOIN (
-  SELECT md5({norm_text_sql()}) AS fp,
+  SELECT md5({NORM_TEXT_SQL}) AS fp,
          min(doc_id) AS keep_doc_id
   FROM documents GROUP BY 1
 ) k ON d.doc_id = k.keep_doc_id
@@ -977,7 +971,7 @@ def dedup_keepers(ds: ray.data.Dataset) -> ray.data.Dataset:
 # (the driver's dup_groups query): recursive transitive closure of the
 # exact-Jaccard >= 0.6 edge set, then min reachable label per node.
 DUP_GROUPS_SQL = f"""
-WITH RECURSIVE docs AS ({_doc_tokens_sql(lower=True)}),
+WITH RECURSIVE docs AS ({doc_tokens_sql(lower=True)}),
 sh AS (
   SELECT doc_id,
          list_distinct(CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
@@ -1265,7 +1259,7 @@ CHUNK_WORDS = 8
 _CHUNK_IDX_BITS = 20
 
 CHUNK_DEDUP_SQL = f"""
-WITH d AS ({_doc_tokens_sql()}),
+WITH d AS ({doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          CAST(generate_subscripts(lst, 1) - 1 AS BIGINT) AS idx,
@@ -1422,7 +1416,7 @@ BENCHMARK_MOD = 37
 BENCH_BROADCAST_MAX = 5_000_000
 
 DECONTAMINATE_SQL = f"""
-WITH d AS ({_doc_tokens_sql()}),
+WITH d AS ({doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          unnest([array_to_string(toks[i:i+7], ' ')
@@ -1570,7 +1564,7 @@ BLOOM_BITS = 1 << 16
 BLOOM_HASHES = 4
 
 BLOOM_DECONTAMINATE_SQL = f"""
-WITH d AS ({_doc_tokens_sql()}),
+WITH d AS ({doc_tokens_sql()}),
 ch AS (
   SELECT doc_id,
          CAST(generate_subscripts(lst, 1) - 1 AS BIGINT) AS idx,
@@ -1703,7 +1697,7 @@ def bloom_decontaminate(
 EXACT_SUBSTR_N = 3
 
 EXACT_SUBSTR_SQL = f"""
-WITH d AS ({_doc_tokens_sql()}),
+WITH d AS ({doc_tokens_sql()}),
 ng AS (
   SELECT doc_id,
          CASE WHEN len(toks) < 3 THEN CAST([] AS VARCHAR[])

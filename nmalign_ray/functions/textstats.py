@@ -19,7 +19,8 @@ import ray.data
 
 from ..hashing import (md5_hex, md5_order_sql, md5_u32, md5_u32_sql, md5_u64,
                        md5_u64_sql)
-from ..tokens import norm_text, norm_text_sql, split, token_lists, tokens_sql
+from ..tokens import (NORM_TEXT_SQL, doc_tokens_sql, norm_text, split,
+                      token_lists, tokens_sql)
 
 # Gate on driver-side collects of VOCABULARY-sized aggregates (top_terms,
 # tfidf df map, cms final cut) — same convention as LABEL_DRIVER_MAX /
@@ -32,10 +33,6 @@ VOCAB_BROADCAST_MAX = int(
 # batches beyond it fall back to a structured unique (module-level so the
 # fallback branch is testable without a 2M-token batch)
 GOPHER_PACK_LIMIT = 2 ** 62
-
-# the SQL twins' tokens of documents.text, as cased and lowercased
-_TOKS = tokens_sql()
-_LTOKS = tokens_sql(lower=True)
 
 
 def _vocab_pandas(agg: ray.data.Dataset, what: str, empty_cols=None):
@@ -97,7 +94,7 @@ def _segment_count(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 NORMALIZE_SQL = f"""
-SELECT doc_id, {norm_text_sql()} AS norm_text
+SELECT doc_id, {NORM_TEXT_SQL} AS norm_text
 FROM documents
 """
 
@@ -118,7 +115,7 @@ def normalize_docs(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 TOKEN_COUNT_SQL = f"""
 SELECT doc_id,
-       len({_TOKS}) AS n_tokens,
+       len({tokens_sql()}) AS n_tokens,
        len(regexp_extract_all(text, '{BPE_TOKEN_RE}')) AS n_bpe_tokens
 FROM documents
 """
@@ -153,7 +150,7 @@ _PUNCT_RATIO_SQL = """round(CASE WHEN length(text) = 0 THEN 0.0 ELSE
          / CAST(length(text) AS DOUBLE) END, 6)"""
 
 QUALITY_SQL = f"""
-WITH d AS (SELECT doc_id, text, {_LTOKS} AS toks FROM documents)
+WITH d AS (SELECT doc_id, text, {tokens_sql(lower=True)} AS toks FROM documents)
 SELECT doc_id,
        length(text) AS n_chars,
        len(toks) AS n_tokens,
@@ -207,7 +204,7 @@ def _lang_hits_sql(lang: str) -> str:
 
 
 LANG_ID_SQL = f"""
-WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents)
+WITH d AS (SELECT doc_id, {tokens_sql(lower=True)} AS toks FROM documents)
 SELECT doc_id,
        CASE
          WHEN greatest({_lang_hits_sql('de')}, {_lang_hits_sql('en')},
@@ -255,7 +252,7 @@ def lang_id(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 
 FINGERPRINT_SQL = f"""
-SELECT doc_id, md5({norm_text_sql()}) AS fingerprint
+SELECT doc_id, md5({NORM_TEXT_SQL}) AS fingerprint
 FROM documents
 """
 
@@ -274,7 +271,7 @@ def fingerprints(ds: ray.data.Dataset) -> ray.data.Dataset:
 QUALITY_FILTER_SQL = f"""
 SELECT doc_id, length(text) AS n_chars
 FROM documents
-WHERE len({_TOKS}) BETWEEN 5 AND 10000 AND {_PUNCT_RATIO_SQL} < 0.2
+WHERE len({tokens_sql()}) BETWEEN 5 AND 10000 AND {_PUNCT_RATIO_SQL} < 0.2
 """
 
 
@@ -299,7 +296,7 @@ TOP_TERMS_K = 20
 
 TOP_TERMS_SQL = f"""
 SELECT t AS term, count(*) AS cnt
-FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
+FROM (SELECT unnest({tokens_sql(lower=True)}) AS t FROM documents)
 GROUP BY t
 ORDER BY cnt DESC, term
 LIMIT {TOP_TERMS_K}
@@ -349,7 +346,7 @@ def top_terms(ds: ray.data.Dataset, k: int = TOP_TERMS_K) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 GOPHER_SIGNALS_SQL = f"""
-WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
+WITH d AS (SELECT doc_id, {tokens_sql(lower=True)} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 tc AS (SELECT doc_id, t, count(*) AS c FROM tok GROUP BY 1, 2),
 uni AS (SELECT doc_id, sum(c) AS n_tokens, count(*) AS n_distinct,
@@ -574,11 +571,11 @@ def hash_sample(ds: ray.data.Dataset, mod: int = HASH_SAMPLE_MOD) -> ray.data.Da
 TFIDF_TOP_K = 3
 
 TFIDF_TOP_TERMS_SQL = f"""
-WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
+WITH d AS ({doc_tokens_sql(lower=True)}),
 tok AS (SELECT doc_id, unnest(toks) AS term FROM d),
 tc AS (SELECT doc_id, term, count(*) AS cnt FROM tok GROUP BY 1, 2),
 df AS (SELECT term, count(*) AS df FROM tc GROUP BY 1),
-n AS (SELECT count(*) AS n FROM d WHERE len(toks) > 0),
+n AS (SELECT count(*) AS n FROM d),
 sc AS (
   SELECT tc.doc_id, tc.term,
          round(CAST(tc.cnt AS DOUBLE) * ln((n.n + 1.0) / (df.df + 1.0)),
@@ -763,7 +760,7 @@ SELECT term,
        count(*) AS df,
        array_to_string(list_sort(list(doc_id))[1:{MAX_POSTINGS}], ',')
          AS postings
-FROM (SELECT DISTINCT doc_id, unnest({_LTOKS}) AS term FROM documents)
+FROM (SELECT DISTINCT doc_id, unnest({tokens_sql(lower=True)}) AS term FROM documents)
 GROUP BY term
 """
 
@@ -843,7 +840,7 @@ KMV_K = 16
 KMV_DISTINCT_SQL = f"""
 WITH h AS (
   SELECT DISTINCT {md5_u64_sql("t")} AS hv
-  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
+  FROM (SELECT unnest({tokens_sql(lower=True)}) AS t FROM documents)
 ),
 k AS (SELECT hv FROM h ORDER BY hv LIMIT {KMV_K})
 SELECT CAST({KMV_K} AS BIGINT) AS k,
@@ -913,7 +910,7 @@ _HLL_LOW = (1 << (64 - HLL_P)) - 1
 HLL_DISTINCT_SQL = f"""
 WITH h AS (
   SELECT DISTINCT {md5_u64_sql("t")} AS hv
-  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
+  FROM (SELECT unnest({tokens_sql(lower=True)}) AS t FROM documents)
 ),
 reg AS (
   SELECT CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,
@@ -1061,7 +1058,7 @@ FROM (
            PARTITION BY source
            ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
-  FROM (SELECT source, doc_id, len({_TOKS}) AS n_tokens FROM documents)
+  FROM (SELECT source, doc_id, len({tokens_sql()}) AS n_tokens FROM documents)
   WHERE n_tokens > 0
 )
 WHERE cum_tokens <= {MIX_TOKEN_BUDGET}
@@ -1108,7 +1105,7 @@ SOFT_SAMPLE_SQL = f"""
 WITH q AS (
   SELECT doc_id, {_STOP_RATIO_SQL} AS stop_ratio,
          {md5_u32_sql("doc_id")} / 4294967296.0 AS hash_frac
-  FROM (SELECT doc_id, {_LTOKS} AS toks FROM documents)
+  FROM (SELECT doc_id, {tokens_sql(lower=True)} AS toks FROM documents)
 )
 SELECT doc_id,
        least(1.0, 2.0 * stop_ratio) AS keep_prob,
@@ -1163,7 +1160,7 @@ CMS_TOPK = 30
 CMS_HEAVY_HITTERS_SQL = f"""
 WITH counts AS (
   SELECT t, count(*) AS c
-  FROM (SELECT unnest({_LTOKS}) AS t FROM documents)
+  FROM (SELECT unnest({tokens_sql(lower=True)}) AS t FROM documents)
   GROUP BY t
 ),
 hashed AS (
@@ -1343,7 +1340,7 @@ FROM (
          sum(n_tokens) OVER (
            ORDER BY {md5_order_sql("doc_id")}
            ROWS UNBOUNDED PRECEDING) AS cum_tokens
-  FROM (SELECT doc_id, len({_TOKS}) AS n_tokens FROM documents)
+  FROM (SELECT doc_id, len({tokens_sql()}) AS n_tokens FROM documents)
   WHERE n_tokens > 0
 )
 """
@@ -1417,10 +1414,7 @@ def _bm25_term_sql(i: int) -> str:
 
 
 BM25_TOPK_SQL = f"""
-WITH d AS (
-  SELECT doc_id, toks FROM (SELECT doc_id, {_LTOKS} AS toks FROM documents)
-  WHERE len(toks) > 0
-),
+WITH d AS ({doc_tokens_sql(lower=True)}),
 st AS (
   SELECT doc_id, len(toks) AS dl,
          len([t for t in toks if t = '{BM25_TERMS[0]}']) AS tf0,
@@ -1542,7 +1536,7 @@ PMI_MIN_COUNT = 5
 PMI_TOP_K = 30
 
 PMI_BIGRAMS_SQL = f"""
-WITH d AS (SELECT {_LTOKS} AS toks FROM documents),
+WITH d AS (SELECT {tokens_sql(lower=True)} AS toks FROM documents),
 tok AS (SELECT unnest(toks) AS t FROM d),
 uni AS (SELECT t, count(*) AS c FROM tok GROUP BY 1),
 n1 AS (SELECT count(*) AS n FROM tok),
@@ -1661,7 +1655,7 @@ WINNOW_K = 8   # gram size (chars of the normalized text)
 WINNOW_W = 4   # window size (hashes); guarantee threshold = K + W - 1
 
 WINNOW_SQL = f"""
-WITH d AS (SELECT doc_id, {norm_text_sql()} AS t FROM documents),
+WITH d AS (SELECT doc_id, {NORM_TEXT_SQL} AS t FROM documents),
 h AS (
   SELECT doc_id,
          [{md5_u64_sql(f"substr(t, i, {WINNOW_K})")}
@@ -1848,7 +1842,7 @@ def temperature_mix(ds: ray.data.Dataset) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 DOC_PERPLEXITY_SQL = f"""
-WITH d AS (SELECT doc_id, {_LTOKS} AS toks FROM documents),
+WITH d AS (SELECT doc_id, {tokens_sql(lower=True)} AS toks FROM documents),
 tok AS (SELECT doc_id, unnest(toks) AS t FROM d),
 lm AS (SELECT t, count(*) AS c FROM tok GROUP BY t),
 tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM lm),
@@ -2046,7 +2040,7 @@ DSIR_TARGET_LANG = "en"
 _DSIR_BKT = f"CAST({md5_u32_sql('g')} % {DSIR_BUCKETS} AS BIGINT)"
 
 DSIR_SAMPLE_SQL = f"""
-WITH d AS (SELECT doc_id, lang, {_LTOKS} AS toks FROM documents),
+WITH d AS (SELECT doc_id, lang, {tokens_sql(lower=True)} AS toks FROM documents),
 grams AS (
   SELECT doc_id, lang, unnest(toks) AS g FROM d
   UNION ALL
@@ -2243,7 +2237,7 @@ SELECT pair, cnt FROM (
   SELECT substr(w, CAST(i AS INT), 2) AS pair, count(*) AS cnt
   FROM (
     SELECT w, unnest(generate_series(1, length(w) - 1)) AS i
-    FROM (SELECT unnest({_LTOKS}) AS w FROM documents)
+    FROM (SELECT unnest({tokens_sql(lower=True)}) AS w FROM documents)
     WHERE length(w) >= 2
   )
   GROUP BY pair
@@ -2308,7 +2302,7 @@ def bpe_pair_counts(ds: ray.data.Dataset, k: int = BPE_PAIRS_K
 SOURCE_HLL_SQL = f"""
 WITH h AS (
   SELECT DISTINCT source, {md5_u64_sql("t")} AS hv
-  FROM (SELECT source, unnest({_LTOKS}) AS t FROM documents)
+  FROM (SELECT source, unnest({tokens_sql(lower=True)}) AS t FROM documents)
 ),
 reg AS (
   SELECT source, CAST(hv >> {64 - HLL_P} AS BIGINT) AS bucket,

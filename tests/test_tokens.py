@@ -67,7 +67,7 @@ def _sql_forms(con, texts):
                                 "text": pa.array(texts, pa.string())}))
     rows = con.execute(
         f"SELECT {tokens.tokens_sql()}, {tokens.tokens_sql(lower=True)}, "
-        f"{tokens.norm_text_sql()} FROM d ORDER BY i").fetchall()
+        f"{tokens.NORM_TEXT_SQL} FROM d ORDER BY i").fetchall()
     con.unregister("d")
     return [list(col) for col in zip(*rows)] if rows else [[], [], []]
 

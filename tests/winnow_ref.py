@@ -1,8 +1,10 @@
 """Shared brute-force reference for the winnowing fingerprint tests —
 ONE hand-maintained copy of the algorithm (rightmost-min tie rule) and
-of the normalization contract, mirroring `tokens.norm_text` /
-`WINNOW_SQL`: lower -> trim (DuckDB trim(); spaces, for these tests'
-texts) -> collapse the RE2 ASCII whitespace class."""
+of the normalization: lower -> trim ' ' -> collapse the RE2 ASCII
+whitespace class.  It is `tokens.norm_text` / `WINNOW_SQL` only on ASCII
+texts whose edges hold no space but ' ', as the winnowing tests' texts
+are: those trim every Unicode space separator, and lowercase with
+`utf8_lower` / DuckDB `lower()`, not `str.lower`."""
 import hashlib
 import re
 
