@@ -7,8 +7,8 @@ reference (``/root/reference/nmalign/lib/align.py:17-243``):
 * greedy iterative argmax assignment with a block-triangular
   monotonicity bonus and sigmoid coverage attenuation (A4),
 * optional subsegmentation of one l2 segment into several l1 matches via
-  windowed local alignments + shortest path over a gap-prefilled DAG
-  (A5-A10),
+  windowed local alignments + shortest path over the gap-edge graph of
+  the segment's character boundaries (A5-A10),
 * cutoff semantics: plain break without splits, column-blacklist with
   splits (``align.py:147-153``).
 
@@ -406,6 +406,57 @@ def match_subseg(
     Returns ``[(l1_index, beg, end, score), ...]`` in reading order, or
     ``[]`` when no split beats ``min_score``.
     """
+    cands = _subseg_candidates(l1, seg2, col_scores, col_rows, processor)
+    if not cands:
+        return []
+    # the reference's graph over substring boundaries 0..len(seg2): a gap
+    # edge of the pure deletion cost |j - i| between every two boundaries
+    # (align.py:188-195), with each candidate's edge written over its
+    # cell, a later candidate over an earlier one.  Only the candidate
+    # edges are kept here; the shortest path adds the gaps per row.
+    costs, owner = {}, {}
+    for row, start, end, cost in cands:
+        costs[start, end] = cost
+        owner[start, end] = row
+    nodes = len(seg2) + 1
+    # only the end node's distance and predecessor chain are read below
+    dist, pred = shortest_path_from0(nodes, costs, target=nodes - 1)
+    # path cost -> score; must strictly beat the whole-segment match
+    score = (nodes - dist[-1]) / nodes
+    if score <= min_score:
+        return []
+
+    # backtrack the best chain, keeping only candidate-owned edges
+    chain = []
+    pos = nodes - 1
+    while pos > 0:
+        prev = max(0, int(pred[pos]))
+        edge_cost = dist[pos] - dist[prev]
+        row = owner.get((prev, pos))
+        if row is not None:
+            chain.append((row, prev, pos, 1.0 - edge_cost / (pos - prev)))
+        pos = prev
+    chain.reverse()
+    # resolve overlapping neighbors by cutting into the lower-scoring side
+    # (align.py:231-243)
+    for k in range(len(chain) - 1):
+        r1, b1, e1, s1 = chain[k]
+        r2, b2, e2, s2 = chain[k + 1]
+        if e1 <= b2:
+            continue
+        if s1 > s2:
+            chain[k + 1] = (r2, e1, e2, s2)  # cut right neighbor
+        else:
+            chain[k] = (r1, b1, b2, s1)  # cut left neighbor
+    return chain
+
+
+def _subseg_candidates(l1, seg2, col_scores, col_rows, processor):
+    """The screens of :func:`match_subseg` and their surviving candidate
+    edges: ``[(l1_index, start, end, cost), ...]`` in screen order, where
+    ``seg2[start:end]`` is the candidate's best window and ``cost`` is
+    ``(1 - score/100) * (end - start)`` (``align.py:196-211``); ``[]``
+    when fewer than two candidates pass."""
     # screen 1: need >= 2 rows whose global score clears the floor
     ok = col_scores >= SUBSEG_ACC_MIN
     if np.count_nonzero(ok) < 2:
@@ -431,25 +482,13 @@ def match_subseg(
     # align.py:181-182)
     pr = np.where(scores64 >= PARTIAL_ACC_MIN, scores64, 0.0).astype(
         np.float32
-    ).reshape(-1, 1)
-    if np.count_nonzero(pr >= PARTIAL_ACC_MIN) < 2:
+    )
+    passed = np.flatnonzero(pr >= PARTIAL_ACC_MIN)
+    if len(passed) < 2:
         return []
-
-    # gap-prefilled distance matrix over substring boundaries 0..len(seg2):
-    # cell (i, j) = cost of covering seg2[i:j]; prefilled with the pure
-    # deletion cost |j - i| in both directions (align.py:188-195),
-    # diagonal stays +inf (not an edge).
-    nodes = len(seg2) + 1
-    span = np.arange(nodes)
-    costs = np.abs(span[:, None] - span[None, :]).astype(np.float64)
-    np.fill_diagonal(costs, np.inf)
-    owner = np.full((nodes, nodes), -1, dtype=np.int64)
-
-    # exact local alignment for each surviving candidate, inserted as an
-    # edge with cost (1 - score/100) * window length (align.py:196-211)
-    for k in np.nonzero(pr[:, 0] >= PARTIAL_ACC_MIN)[0]:
-        row = int(cand_rows[k])
-        sa = sas[int(k)]
+    cands = []
+    for k in passed.tolist():
+        sa = sas[k]
         # clamp both ends to the RAW segment length (align.py:208 clamps
         # only dest_end; dest positions index the PROCESSED string, and a
         # lengthening normalization — e.g. NFKC '…' -> '...' — can push
@@ -457,36 +496,5 @@ def match_subseg(
         dest_end = min(sa.dest_end, len(seg2))
         dest_start = min(sa.dest_start, dest_end)
         cost = (1.0 - sa.score / 100.0) * (dest_end - dest_start)
-        costs[dest_start, dest_end] = cost
-        owner[dest_start, dest_end] = row
-
-    # only the end node's distance and predecessor chain are read below
-    dist, pred = shortest_path_from0(costs, target=nodes - 1)
-    # path cost -> score; must strictly beat the whole-segment match
-    score = (nodes - dist[-1]) / nodes
-    if score <= min_score:
-        return []
-
-    # backtrack the best chain, keeping only candidate-owned edges
-    chain = []
-    pos = nodes - 1
-    while pos > 0:
-        prev = max(0, int(pred[pos]))
-        edge_cost = dist[pos] - dist[prev]
-        row = owner[prev, pos]
-        if row >= 0:
-            chain.append((int(row), prev, pos, 1.0 - edge_cost / (pos - prev)))
-        pos = prev
-    chain.reverse()
-    # resolve overlapping neighbors by cutting into the lower-scoring side
-    # (align.py:231-243)
-    for k in range(len(chain) - 1):
-        r1, b1, e1, s1 = chain[k]
-        r2, b2, e2, s2 = chain[k + 1]
-        if e1 <= b2:
-            continue
-        if s1 > s2:
-            chain[k + 1] = (r2, e1, e2, s2)  # cut right neighbor
-        else:
-            chain[k] = (r1, b1, b2, s1)  # cut left neighbor
-    return chain
+        cands.append((int(cand_rows[k]), dest_start, dest_end, cost))
+    return cands

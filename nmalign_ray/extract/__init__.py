@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..schema import MEDIA_KINDS
+from ..tokens import SPACE
 from .html import extract_html_blocks
 from .pdf import parse_pdf_text
 
@@ -87,8 +88,9 @@ def classify_spans(kinds, texts, media_refs, offsets):
     traversal O9, ``ocrd/cli.py:306-325``, made a column), which also
     realizes the pdf layout-order parse for shuffled span lists.
 
-    Whitespace-only candidates are dropped, mirroring the reference's
-    empty-line filter (``ocrd/cli.py:219-226``).
+    Candidates of separator characters only (``tokens.SPACE``) are
+    dropped, mirroring the reference's empty-line filter
+    (``ocrd/cli.py:219-226``); a ``\v`` or NBSP is part of a token.
     """
     order = sorted(range(len(kinds)), key=lambda k: (offsets[k], k))
     candidates: list[Candidate] = []
@@ -100,6 +102,6 @@ def classify_spans(kinds, texts, media_refs, offsets):
             continue
         classifier = KIND_REGISTRY.get(kind, _classify_text)
         for cand in classifier(texts[k], int(offsets[k])):
-            if cand.text.strip():
+            if cand.text.strip(SPACE):
                 candidates.append(cand)
     return candidates, media

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from html.parser import HTMLParser
 
+from ..tokens import SPACE
+
 BLOCK_TAGS = {
     "p", "div", "li", "h1", "h2", "h3", "h4", "h5", "h6",
     "article", "section", "blockquote", "pre", "td", "th", "tr",
@@ -46,7 +48,7 @@ class _BlockCollector(HTMLParser):
         self._anchor_depth = 0
 
     def _flush(self):
-        text = "".join(self._text).strip()
+        text = "".join(self._text).strip(SPACE)
         if text:
             self.blocks.append((text, self._link_chars))
         self._text = []

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 
+from ..tokens import SPACE
+
 _HYPHEN_WRAP = re.compile(r"[-⸗]\n")
 _LINE_BREAK = re.compile(r" *\n *")
 _MULTISPACE = re.compile(r"  +")
@@ -37,7 +39,7 @@ def parse_pdf_text(text: str) -> list[str]:
     for para in re.split(r"\n[ \t]*\n", text):
         para = _HYPHEN_WRAP.sub("", para)
         para = _LINE_BREAK.sub(" ", para)
-        para = _MULTISPACE.sub(" ", para).strip()
+        para = _MULTISPACE.sub(" ", para).strip(SPACE)
         if para:
             segments.append(para)
     return segments

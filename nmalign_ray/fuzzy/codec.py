@@ -10,11 +10,14 @@ share:
 * ``pattern_masks``: the match-mask table of every word of every needle,
   indexed by a needle-alphabet column;
 * ``text_columns``: every text as one flat array of those columns;
-* ``lane_groups``: the lanes sorted longest text first, so that the lanes
-  still stepping at step ``t`` are always a prefix and each step advances
-  only that prefix, and split into word groups: group ``b`` holds word
-  ``b`` of every lane with more than ``b`` words.  Within a step the
-  groups run in order, because word ``b`` reads the carry of word ``b-1``.
+* ``lane_groups`` (the Indel kernel's layout): the lanes sorted longest
+  text first, so that the lanes still stepping at step ``t`` are always a
+  prefix and each step advances only that prefix, and split into word
+  groups: group ``b`` holds word ``b`` of every lane with more than ``b``
+  words.  Within a step the groups run in order, because word ``b`` reads
+  the carry of word ``b-1``.  The Levenshtein kernel lays its lanes out
+  as a word wavefront instead (``levenshtein._wavefront``), one loop per
+  word count with all words in one array, each a step behind the last.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def text_columns(texts: list[np.ndarray], alphabet: np.ndarray):
 
 def lane_groups(row: np.ndarray, k: int, start: np.ndarray,
                 nwords: np.ndarray, length: np.ndarray):
-    """Lay out lanes for the lock-step loop.
+    """Lay out lanes for the Indel kernel's lock-step loop.
 
     Lane ``p`` reads needle rows ``row[p]..row[p] + nwords[p] - 1`` of a
     ``pattern_masks`` table of width ``k`` against the text

@@ -10,21 +10,26 @@ as used by the reference (``/root/reference/nmalign/lib/align.py:5,60-61``):
   as 0.0; result dtype is float32 (rapidfuzz's cdist default).
 
 Every entry point runs the same kernel, ``_distances``: one pair table,
-and each pair runs Myers' bit-vector algorithm (1999) with the shorter
-string as the needle, held in ``ceil(len/64)`` words that are coupled by
-the horizontal delta of the block form (Hyyrö 2003).  All pairs advance
-lock-step over their haystacks, longest haystack first, and each step
-advances only the pairs whose haystack is still longer than the step
-(``codec.lane_groups``), so a pair costs its own haystack length, not the
-batch's longest.
+and each pair runs Myers' bit-vector algorithm (1999) with one of its
+strings as the needle, held in ``ceil(len/64)`` words that are coupled by
+the horizontal delta of the block form (Hyyrö 2003).  The needle is the
+longer string when that costs no more words, or when it is long
+(``LONG_NEEDLE``), else the shorter.  The pairs of one needle word count
+advance lock-step as a word wavefront (``_wavefront``): word ``b`` runs
+one iteration behind word ``b-1``, so all words of all pairs step in one
+set of numpy calls, and a pair of ``W`` words costs its haystack length
+plus ``W - 1`` iterations.  Pairs run longest haystack first, and each
+iteration advances only the pairs still stepping, so a pair costs its own
+haystack length, not the batch's longest, and a long string against short
+ones costs the short ones' length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import WORD, encode, encode_list, lane_groups, pattern_masks, \
-    text_columns, words
+from .codec import WORD, encode, encode_list, pattern_masks, text_columns, \
+    words
 
 
 def levenshtein_distance(s1: str, s2: str) -> int:
@@ -120,24 +125,40 @@ def levenshtein_cdist_many(jobs, score_cutoff=None, processor=None):
     return outs
 
 
+# A string longer than this is the needle even when the other one needs
+# fewer words.  Each word count runs a loop of its own, and below this the
+# extra loop can cost more than the steps it saves: in a sweep of batches
+# of 2 000 one-word pairs plus 4-1 024 pairs of a 40-character string
+# against 96-1 536 characters, the longer needle lost up to 10% at 1 024
+# such pairs of at most 320 characters, and won from 512 characters up
+# at every count (alone, without the one-word pairs, it never lost).
+LONG_NEEDLE = 256
+
+
 def _distances(pool: list[np.ndarray], a: np.ndarray,
                b: np.ndarray) -> np.ndarray:
     """Levenshtein distance of ``pool[a[p]]`` and ``pool[b[p]]`` for every
-    pair ``p`` (int64).  The shorter side is the needle (the distance is
-    symmetric); an empty needle's distance is the other length."""
+    pair ``p`` (int64).  The distance is symmetric, so either side can be
+    the needle: the longer one when both need the same number of words
+    (the same words, fewer steps) or when it is over ``LONG_NEEDLE``
+    characters (a word costs a row of the wavefront, a step a numpy
+    call), else the shorter one.  An empty side's distance is the other
+    length."""
     pool_len = np.fromiter((len(c) for c in pool), dtype=np.int64,
                            count=len(pool))
     la, lb = pool_len[a], pool_len[b]
-    shorter_a = la <= lb
-    nlen, dist = np.minimum(la, lb), np.maximum(la, lb)
-    live = np.flatnonzero(nlen > 0)
+    short, dist = np.minimum(la, lb), np.maximum(la, lb)
+    longer = (words(dist) == words(short)) | (dist > LONG_NEEDLE)
+    a_needle = np.where(longer, la >= lb, la <= lb)
+    live = np.flatnonzero(short > 0)
     if len(live):
+        a_needle = a_needle[live]
         dist[live] = _myers(
             pool,
-            np.where(shorter_a, a, b)[live],
-            np.where(shorter_a, b, a)[live],
-            nlen[live],
-            dist[live],
+            np.where(a_needle, a[live], b[live]),
+            np.where(a_needle, b[live], a[live]),
+            np.where(a_needle, la[live], lb[live]),
+            np.where(a_needle, lb[live], la[live]),
         )
     return dist
 
@@ -146,63 +167,95 @@ def _myers(pool: list[np.ndarray], n_ids: np.ndarray, h_ids: np.ndarray,
            nlen: np.ndarray, hlen: np.ndarray) -> np.ndarray:
     """Myers' bit-vector edit distance of needle ``pool[n_ids[p]]`` (of
     length ``nlen[p] > 0``) against haystack ``pool[h_ids[p]]`` (of length
-    ``hlen[p]``) for every pair ``p``.
-
-    Word ``b`` of a needle advances with the horizontal delta ``hin`` that
-    word ``b-1`` leaves at its last row (+1 for word 0: the top DP row is
-    ``D[0][j] = j``) and hands its own ``hout`` to word ``b+1``; the
-    distance tracks ``hout`` of the needle's last row.  Bits above a
-    needle's length only ever influence higher bits, so they need no mask.
-    """
-    one = np.uint64(1)
+    ``hlen[p] > 0``) for every pair ``p``: one mask table and one column
+    array for all pairs, and one :func:`_wavefront` per needle word
+    count."""
     un, n_inv = np.unique(n_ids, return_inverse=True)
     uh, h_inv = np.unique(h_ids, return_inverse=True)
     peq, first_row, alphabet = pattern_masks([pool[i] for i in un.tolist()])
-    k = len(alphabet) + 1
     cols, hay_start = text_columns([pool[i] for i in uh.tolist()], alphabet)
-    nwords = words(nlen)
-    order, groups = lane_groups(first_row[n_inv], k, hay_start[h_inv],
-                                nwords, hlen)
-    nlen, nwords = nlen[order], nwords[order]
-    state = [(
-        one << np.where(nwords[pos] == b + 1, (nlen[pos] - 1) % WORD,
-                        WORD - 1).astype(np.uint64),  # the word's last row
-        np.full(len(pos), ~np.uint64(0)),  # pv
-        np.zeros(len(pos), dtype=np.uint64),  # mv
-    ) for b, (pos, _, _, _) in enumerate(groups)]
+    # a finished word may read up to a haystack's length past its end
+    cols = np.concatenate([cols, np.zeros(int(hlen.max()), cols.dtype)])
+    row, start, nwords = first_row[n_inv], hay_start[h_inv], words(nlen)
+    out = np.empty(len(nlen), dtype=np.int64)
+    for w in np.unique(nwords).tolist():
+        lanes = np.flatnonzero(nwords == w)
+        out[lanes] = _wavefront(peq, len(alphabet) + 1, cols, row[lanes],
+                                start[lanes], nlen[lanes], hlen[lanes], w)
+    return out
 
+
+def _wavefront(peq, k, cols, row, start, nlen, hlen, w):
+    """Myers' block form for lanes of ``w`` words each, all words of all
+    lanes in one ``(w, lanes)`` state.
+
+    Lane ``p`` reads needle rows ``row[p]..row[p] + w - 1`` of the
+    ``pattern_masks`` table ``peq`` (width ``k``) against the haystack
+    ``cols[start[p]:start[p] + hlen[p]]``.  Word ``b`` needs the
+    horizontal delta that word ``b-1`` leaves at the same haystack step
+    (+1 for word 0: the top DP row is ``D[0][j] = j``), so it runs one
+    iteration behind: iteration ``t`` advances word ``b`` over step
+    ``t - b`` with the delta word ``b-1`` left in iteration ``t - 1``,
+    and a lane takes ``hlen + w - 1`` iterations.  The distance tracks
+    the delta of the needle's last row, bit ``(nlen - 1) % 64`` of the
+    last word; bits above a needle's length only ever influence higher
+    bits, so they need no mask.
+
+    Lanes run longest haystack first, so the lanes whose last word is
+    still stepping are a prefix.  The other words of that prefix step
+    too, past their own haystack once it ends: a finished word's state
+    and delta only reach the finished words above it.
+    """
+    one = np.uint64(1)
+    order = np.argsort(-hlen, kind="stable")
+    row, start, nlen, hlen = row[order], start[order], nlen[order], hlen[order]
+    word = np.arange(w)[:, None]
+    base = (row + word) * k
+    top = np.full((w, len(order)), WORD - 1, dtype=np.uint64)
+    top[-1] = (nlen - 1) % WORD  # the bit of each word's last needle row
+    pv = np.full((w, len(order)), ~np.uint64(0))
+    mv = np.zeros((w, len(order)), dtype=np.uint64)
+    # hp/hm[b]: the +1/-1 bit of the delta word b reads next; row 0 is
+    # word 0's constant +1
+    hp = np.zeros((w + 1, len(order)), dtype=np.uint64)
+    hp[0] = one
+    hm = np.zeros_like(hp)
     score = nlen.copy()
-    hout = np.zeros(len(nlen), dtype=np.int64)  # per lane, latest word's
-    act0 = groups[0][1]
-    for t in range(int(hlen.max())):
-        for b, ((pos, act, base, off), (high, pv_all, mv_all)) in enumerate(
-                zip(groups, state)):
-            a = act[t]
-            if not a:
-                break
-            lanes = slice(0, a) if b == 0 else pos[:a]
-            pv, mv = pv_all[:a], mv_all[:a]
-            eq = peq[base[:a] + cols[off[:a] + t]]
-            xv = eq | mv
-            if b:
-                hin = hout[lanes]
-                hin_neg = (hin < 0).astype(np.uint64)
-                eq |= hin_neg
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            hout[lanes] = np.subtract((ph & high[:a]) != 0,
-                                      (mh & high[:a]) != 0, dtype=np.int64)
-            ph <<= one
-            mh <<= one
-            if b:
-                ph |= (hin > 0).astype(np.uint64)
-                mh |= hin_neg
-            else:
-                ph |= one
-            pv_all[:a] = mh | ~(xv | ph)
-            mv_all[:a] = ph & xv
-        score[:act0[t]] += hout[:act0[t]]
+    longest = int(hlen[0])
+    steps = np.arange(longest + w - 1)
+    act = np.searchsorted(-hlen, w - 1 - steps).tolist()
+    for t in steps.tolist():
+        a = act[t]
+        lo, hi = max(0, t - longest + 1), min(t + 1, w)
+        pv_t, mv_t = pv[lo:hi, :a], mv[lo:hi, :a]
+        hin_p, hin_m = hp[lo:hi, :a], hm[lo:hi, :a]
+        eq = peq[base[lo:hi, :a] + cols[start[:a] + (t - word[lo:hi])]]
+        xv = eq | mv_t
+        eq |= hin_m
+        xh = eq & pv_t
+        xh += pv_t
+        xh ^= pv_t
+        xh |= eq
+        ph = np.bitwise_or(xh, pv_t, out=eq)  # eq, then xh, are spent
+        np.invert(ph, out=ph)
+        ph |= mv_t
+        mh = np.bitwise_and(xh, pv_t, out=xh)
+        sh = top[lo:hi, :a]
+        hout_p = (ph >> sh) & one
+        hout_m = (mh >> sh) & one
+        ph <<= one
+        ph |= hin_p
+        mh <<= one
+        mh |= hin_m
+        np.bitwise_or(xv, ph, out=pv_t)
+        np.invert(pv_t, out=pv_t)
+        pv_t |= mh
+        np.bitwise_and(ph, xv, out=mv_t)
+        hp[lo + 1:hi + 1, :a] = hout_p
+        hm[lo + 1:hi + 1, :a] = hout_m
+        if hi == w:
+            score[:a] += hout_p[-1].view(np.int64)
+            score[:a] -= hout_m[-1].view(np.int64)
     out = np.empty_like(score)
     out[order] = score
     return out

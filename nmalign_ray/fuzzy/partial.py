@@ -15,8 +15,9 @@ skipping windows whose boundary character does not occur in the shorter
 string (they cannot start/end an optimal alignment — rapidfuzz's char-set
 pruning), and keeps the FIRST window that strictly improves the running
 best.  The ratios of every window of every pair in a call come from one
-bit-parallel Indel pass (``indel.indel_distance_windows``), whatever the
-needle length; "first strict improvement" is then the first occurrence
+bit-parallel Indel pass (``indel.indel_distance_windows``) per block of
+whole pairs of at most ``BLOCK_WINDOWS`` windows, whatever the needle
+length; "first strict improvement" is then the first occurrence
 of the running maximum, reproduced exactly.  ``partial_ratio_alignment``
 is a one-pair call of ``partial_ratio_alignment_many``.
 
@@ -79,7 +80,8 @@ def _flip(res: ScoreAlignment) -> ScoreAlignment:
 
 def partial_ratio_alignment_many(pairs) -> list[ScoreAlignment]:
     """``[partial_ratio_alignment(s1, s2), ...]`` over many ``(s1, s2)``
-    pairs (processor already applied by the caller), in one kernel pass.
+    pairs (processor already applied by the caller), in one kernel pass
+    per block of ``BLOCK_WINDOWS`` windows.
 
     The shorter side is the needle.  The window search is not symmetric,
     so rapidfuzz retries equal-length pairs with the sides swapped and
@@ -122,12 +124,16 @@ def _windows(l1: np.ndarray, l2: np.ndarray):
     return job, starts, ends, np.where(after_full, starts, ends - 1)
 
 
+# Windows per kernel pass: jobs are scored in blocks of whole jobs of at
+# most this many windows (a job with more forms a block of its own), so
+# the window arrays of a call do not grow with its total haystack length.
+BLOCK_WINDOWS = 1 << 16
+
+
 def _search_many(jobs) -> list[ScoreAlignment]:
     """Best window of each ``(shorter, longer)`` job; the shorter string
-    is the needle.  The windows of every job are enumerated at once and
-    char-set pruned by one membership test over ``(job, codepoint)``
-    keys; every surviving window runs through one
-    ``indel_distance_windows`` call."""
+    is the needle.  Jobs with a needle run in blocks of at most
+    ``BLOCK_WINDOWS`` windows (:func:`_search_block`)."""
     results: list[ScoreAlignment | None] = [None] * len(jobs)
     live = []
     for j, (sh, lg) in enumerate(jobs):
@@ -136,9 +142,25 @@ def _search_many(jobs) -> list[ScoreAlignment]:
         else:
             # ratio of "" vs any non-empty window is 0; vs "" it is 100
             results[j] = ScoreAlignment(100.0 if not lg else 0.0, 0, 0, 0, 0)
-    if not live:
-        return results
+    block, size = [], 0
+    for j in live:
+        windows = len(jobs[j][0]) + len(jobs[j][1]) - 1  # as _windows counts
+        if block and size + windows > BLOCK_WINDOWS:
+            _search_block(jobs, block, results)
+            block, size = [], 0
+        block.append(j)
+        size += windows
+    if block:
+        _search_block(jobs, block, results)
+    return results
 
+
+def _search_block(jobs, live, results) -> None:
+    """Best window of each job ``jobs[j]``, ``j`` in ``live`` (needles
+    non-empty), into ``results[j]``.  The windows of every job are
+    enumerated at once and char-set pruned by one membership test over
+    ``(job, codepoint)`` keys; every surviving window runs through one
+    ``indel_distance_windows`` call."""
     shs = [jobs[j][0] for j in live]
     lgs = [jobs[j][1] for j in live]
     l1 = np.fromiter(map(len, shs), dtype=np.int64, count=len(live))
@@ -156,7 +178,7 @@ def _search_many(jobs) -> list[ScoreAlignment]:
     for u, n in enumerate(l1.tolist()):  # until a window scores above 0
         results[live[u]] = ScoreAlignment(0.0, 0, n, 0, n)
     if not len(job):
-        return results
+        return
 
     needle_off = np.cumsum(l1) - l1
     needles = [needle_cat[o:o + n] for o, n in zip(needle_off, l1)]
@@ -177,4 +199,3 @@ def _search_many(jobs) -> list[ScoreAlignment]:
             n = int(l1[u])
             results[live[u]] = ScoreAlignment(
                 float(ratios[w]), 0, n, int(starts[w]), int(ends[w]))
-    return results

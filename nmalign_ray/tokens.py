@@ -31,6 +31,10 @@ import pyarrow.compute as pc
 
 TEXT = "text"  # the column every Python form reads
 SEPARATOR = r"\s+"
+# the characters SEPARATOR runs are made of (RE2's \s): what text may
+# lose at a chunk's edge; str.strip() also strips \v, NBSP and the
+# Unicode spaces, which belong to tokens
+SPACE = " \t\n\f\r"
 # what DuckDB's trim() strips: the Unicode space separators (category Zs),
 # not only " "
 TRIMMED = (" \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))

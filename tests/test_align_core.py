@@ -191,3 +191,32 @@ class TestReviewRegressions:
         for i in range(len(l1)):
             if beg[i] >= 0:
                 assert 0 <= beg[i] <= end[i] <= len(merged)
+
+
+class TestMemoryBound:
+    """A long segment costs memory in proportion to its length: the
+    subsegmentation search builds no (len + 1)^2 matrix, and the kernels
+    hold no array that grows with length squared."""
+
+    SEGMENT_CHARS = 30_000
+    PEAK_MIB = 32
+
+    def test_long_segment_peak_is_bounded(self):
+        import tracemalloc
+
+        from nmalign_ray.corpus import _corrupt, _sentence
+
+        rng = np.random.default_rng(0)
+        lines = [f"zeile {k:02d} " + _sentence(rng) for k in range(40)]
+        parts = []
+        while sum(map(len, parts)) + len(parts) < self.SEGMENT_CHARS:
+            parts.append(_corrupt(lines[len(parts) % len(lines)], rng))
+        seg = " ".join(parts)[: self.SEGMENT_CHARS]
+        tracemalloc.start()
+        try:
+            res, _ = match(lines, [seg, "x"], try_subseg=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res[0] == 0).sum() > 1  # the segment was split
+        assert peak <= self.PEAK_MIB * 2**20, f"peak {peak / 2**20:.0f} MiB"

@@ -13,6 +13,7 @@ from nmalign_ray.fuzzy import (
     partial_ratio,
     partial_ratio_alignment,
 )
+from align_oracles import shortest_path_dense
 from nmalign_ray.align.graph import shortest_path_from0
 
 
@@ -150,13 +151,15 @@ class TestPartialRatio:
 
 
 class TestShortestPath:
+    """The dense oracle of the subsegmentation search."""
+
     def test_simple_chain(self):
         w = np.full((4, 4), np.inf)
         w[0, 1] = 1.0
         w[1, 2] = 2.0
         w[2, 3] = 1.0
         w[0, 3] = 10.0
-        dist, pred = shortest_path_from0(w)
+        dist, pred = shortest_path_dense(w)
         assert dist[3] == 4.0
         assert pred[3] == 2 and pred[2] == 1 and pred[1] == 0
 
@@ -165,14 +168,43 @@ class TestShortestPath:
         w[0, 1] = 0.0  # csr_matrix drops explicit zeros -> no edge
         w[0, 2] = 5.0
         w[1, 2] = 1.0
-        dist, pred = shortest_path_from0(w)
+        dist, pred = shortest_path_dense(w)
         assert np.isinf(dist[1])
         assert dist[2] == 5.0
 
     def test_unreachable_pred_sentinel(self):
         w = np.full((2, 2), np.inf)
-        dist, pred = shortest_path_from0(w)
+        dist, pred = shortest_path_dense(w)
         assert pred[1] == -9999
+
+
+class TestGapShortestPath:
+    """The subsegmentation search: gap edges |j - i| between all nodes,
+    replaced by the given edges; the cases of the dense oracle above."""
+
+    def test_simple_chain(self):
+        dist, pred = shortest_path_from0(4, {(0, 1): 0.5, (1, 3): 0.5})
+        assert dist.tolist() == [0.0, 0.5, 1.5, 1.0]
+        assert pred[3] == 1 and pred[2] == 1 and pred[1] == 0
+
+    def test_zero_weights_are_not_edges(self):
+        # the zero replaces the gap edge 0 -> 1, and is no edge itself
+        dist, pred = shortest_path_from0(3, {(0, 1): 0.0})
+        assert dist[1] == 3.0 and pred[1] == 2
+        assert dist[2] == 2.0 and pred[2] == 0
+
+    def test_unreachable_pred_sentinel(self):
+        dist, pred = shortest_path_from0(2, {(0, 1): 0.0})
+        assert np.isinf(dist[1])
+        assert pred[1] == -9999
+
+    def test_stops_at_target(self):
+        dist, pred = shortest_path_from0(5, {(0, 4): 1.0}, target=4)
+        assert dist[4] == 1.0 and pred[4] == 0
+        # node 3 is not final: the full search reaches it through node 4
+        assert dist[3] == 3.0 and pred[3] == 0
+        full, full_pred = shortest_path_from0(5, {(0, 4): 1.0})
+        assert full[3] == 2.0 and full_pred[3] == 4
 
 
 class TestCdistMany:

@@ -1,11 +1,17 @@
-"""The bit-parallel kernels against the row-DP oracles, on mixed lengths.
+"""The bit-parallel kernels against the row-DP oracles, on mixed lengths,
+and the subsegmentation search against its dense-matrix oracle.
 
 Each example puts strings of every word-boundary length (0, 1, 63, 64,
 65, 127, 128, 129) and haystacks of up to 1 200 characters into ONE
 kernel call, so one call mixes one-word and multi-word needles and short
 and long haystacks: this pins the longest-first lane order and its
-unpermute, and the carry from word to word.  A second test pins that the
-aligner's batching of chunks never changes its output.
+unpermute, and the carry from word to word.  The Levenshtein call also
+mixes the lengths around ``LONG_NEEDLE`` and haystacks of up to 3 000
+characters, so both needle choices and many word counts of the word
+wavefront meet in it.  ``match_subseg`` is compared with the dense
+``(len + 1)^2`` graph of ``tests/align_oracles.py`` bit for bit.  A
+further test pins that the aligner's batching of chunks never changes
+its output.
 """
 
 import random
@@ -14,15 +20,17 @@ import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
+from align_oracles import match_subseg_dense
 from fuzzy_oracles import (
     indel_windows_dp,
     levenshtein_matrix_dp,
     partial_ratio_alignment_dp,
 )
 from test_fuzzy import brute_indel, brute_levenshtein
+from nmalign_ray.align.core import make_preprocessor, match_subseg
 from nmalign_ray.fuzzy.codec import encode
 from nmalign_ray.fuzzy.indel import indel_distance_windows
-from nmalign_ray.fuzzy.levenshtein import levenshtein_cdist_many
+from nmalign_ray.fuzzy.levenshtein import LONG_NEEDLE, levenshtein_cdist_many
 from nmalign_ray.fuzzy.partial import partial_ratio_alignment_many
 
 EDGE_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129]
@@ -63,14 +71,44 @@ def test_oracles_match_brute_force():
             assert int(got[0]) == brute_indel(a, b)
 
 
+# lengths at which _distances changes the needle: word boundaries, and
+# the cut above which the longer string is the needle whatever its words
+NEEDLE_EDGES = [0, 1, 63, 64, 65, 127, 128, 129,
+                LONG_NEEDLE - 1, LONG_NEEDLE, LONG_NEEDLE + 1]
+
+
+@st.composite
+def cdist_jobs(draw):
+    """One ``levenshtein_cdist_many`` job: ``l1`` strings of needle-edge
+    lengths, and ``l2`` strings of needle-edge lengths or haystacks of up
+    to 3 000 characters around a noisy copy of an ``l1`` string.  Either
+    side can be the longer, so both orientations and every word count
+    meet in one call."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def text(n):
+        return "".join(rng.choice(ALPHABET) for _ in range(n))
+
+    l1 = [text(draw(st.sampled_from(NEEDLE_EDGES)))
+          for _ in range(draw(st.integers(1, 3)))]
+    l2 = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            l2.append(text(draw(st.sampled_from(NEEDLE_EDGES))))
+            continue
+        noisy = "".join(c if rng.random() > 0.1 else rng.choice(ALPHABET)
+                        for c in rng.choice(l1))
+        total = draw(st.integers(len(noisy), 3000))
+        at = rng.randint(0, total - len(noisy))
+        l2.append(text(at) + noisy + text(total - len(noisy) - at))
+    return l1, l2
+
+
 @settings(max_examples=25, deadline=None)
-@given(jobs=st.lists(
-    st.lists(needle_and_hay(), min_size=1, max_size=3), min_size=1,
-    max_size=4))
+@given(jobs=st.lists(cdist_jobs(), min_size=1, max_size=4))
 def test_cdist_many_matches_row_dp(jobs):
-    jobs = [([a for a, _ in job], [b for _, b in job]) for job in jobs]
-    outs = levenshtein_cdist_many(jobs)
-    for (l1, l2), sim in zip(jobs, outs):
+    # the row-DP runs over l1, so the long haystacks go in l2
+    for (l1, l2), sim in zip(jobs, levenshtein_cdist_many(jobs)):
         dist = levenshtein_matrix_dp(l1, l2)
         denom = np.maximum.outer([len(s) for s in l1], [len(s) for s in l2])
         want = np.where(denom > 0, 1.0 - dist / np.maximum(denom, 1),
@@ -188,6 +226,21 @@ def test_aligner_batch_equals_chunk_by_chunk_and_oracle():
     assert longseg["matched"] > 2
 
 
+@settings(max_examples=10, deadline=None)
+@given(pairs=st.lists(needle_and_hay(), min_size=2, max_size=5))
+def test_partial_ratio_blocks_equal_one_pass(pairs):
+    # blocks of a few windows give the results of one pass over all jobs
+    import nmalign_ray.fuzzy.partial as partial
+
+    one_pass = partial_ratio_alignment_many(pairs)
+    saved, partial.BLOCK_WINDOWS = partial.BLOCK_WINDOWS, 1000
+    try:
+        blocked = partial_ratio_alignment_many(pairs)
+    finally:
+        partial.BLOCK_WINDOWS = saved
+    assert blocked == one_pass
+
+
 def test_partial_ratio_many_pinned_mixed_call():
     # one call mixes an empty needle, a job whose windows are all pruned
     # (no boundary character occurs in the needle), an equal-length pair
@@ -205,3 +258,38 @@ def test_partial_ratio_many_pinned_mixed_call():
         d = partial_ratio_alignment_dp(a, b)
         assert (g.score, g.src_start, g.src_end, g.dest_start, g.dest_end) == (
             d.score, d.src_start, d.src_end, d.dest_start, d.dest_end)
+
+
+SUBSEG_WORDS = ["ab", "ba", "abc", "cab", "aa", "b", "a", "bb"]
+
+
+@st.composite
+def subseg_cases(draw):
+    """``match_subseg``'s inputs: 2-7 short reference lines, and a segment
+    of some of them joined, with 15% of the characters dropped, noise
+    words and a ``'…'`` (which NFKC lengthens, so a window can end past
+    the raw segment)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    l1 = [" ".join(rng.choice(SUBSEG_WORDS) for _ in range(rng.randint(1, 4)))
+          for _ in range(rng.randint(2, 7))]
+    words = " ".join(rng.choice(l1) for _ in range(rng.randint(1, 6))).split()
+    for _ in range(rng.randint(0, 3)):
+        words.insert(rng.randint(0, len(words)),
+                     rng.choice(["zz", "q", "xyx", "…"]))
+    words.insert(rng.randint(0, len(words)), "…")
+    seg2 = "".join(c for c in " ".join(words) if rng.random() >= 0.15)
+    col_scores = np.array([rng.uniform(-0.2, 1.0) for _ in l1])
+    return (l1, seg2, col_scores, draw(st.sampled_from([0, 0.1, 0.3])),
+            draw(st.sampled_from([None, make_preprocessor(None)])))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(subseg_cases())
+def test_match_subseg_equals_dense_oracle(case):
+    l1, seg2, col_scores, min_score, processor = case
+    rows = np.arange(len(l1))
+    got = match_subseg(l1, seg2, col_scores, rows, min_score, processor)
+    want = match_subseg_dense(l1, seg2, col_scores, rows, min_score,
+                              processor)
+    assert [(r, b, e, float(s).hex()) for r, b, e, s in got] == [
+        (r, b, e, float(s).hex()) for r, b, e, s in want]

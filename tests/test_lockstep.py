@@ -25,6 +25,7 @@ from nmalign_ray.align.core import (
     match,
     match_many,
 )
+from align_oracles import gap_matrix, shortest_path_dense
 from nmalign_ray.align.graph import shortest_path_from0
 from nmalign_ray.fuzzy.levenshtein import levenshtein_cdist_many
 
@@ -199,7 +200,7 @@ def weight_matrices(draw):
 def _dijkstra_reference(weights):
     """Textbook dense Dijkstra from node 0 with a visited mask, the same
     edge conventions (zero and inf are no edges) and tie order (lowest
-    node first): the reference for ``shortest_path_from0``."""
+    node first): the reference for the dense oracle."""
     v = weights.shape[0]
     w = np.where(np.isfinite(weights) & (weights != 0.0), weights, np.inf)
     dist = np.full(v, np.inf)
@@ -223,11 +224,11 @@ def _dijkstra_reference(weights):
 @given(weight_matrices())
 def test_shortest_path_equals_reference_and_stops_at_target(w):
     want_dist, want_pred = _dijkstra_reference(w)
-    full_dist, full_pred = shortest_path_from0(w)
+    full_dist, full_pred = shortest_path_dense(w)
     assert full_dist.tobytes() == want_dist.tobytes()
     assert np.array_equal(full_pred, want_pred)
     target = w.shape[0] - 1
-    dist, pred = shortest_path_from0(w, target=target)
+    dist, pred = shortest_path_dense(w, target=target)
     assert dist[target] == want_dist[target] or (
         np.isinf(dist[target]) and np.isinf(want_dist[target]))
     pos = target
@@ -236,3 +237,30 @@ def test_shortest_path_equals_reference_and_stops_at_target(w):
         assert dist[pos] == want_dist[pos]
         pos = int(pred[pos])
     assert pred[pos] == want_pred[pos]
+
+
+@st.composite
+def gap_graphs(draw):
+    """A subsegmentation graph: ``nodes`` boundaries and edges that
+    replace some gap edges, with zero (no edge), inf, ties, self loops
+    and backward edges."""
+    nodes = draw(st.integers(1, 24))
+    weight = st.one_of(st.just(0.0), st.just(np.inf),
+                       st.sampled_from([1.0, 2.0, 0.5]),
+                       st.floats(0.0, 30.0, allow_nan=False))
+    node = st.integers(0, nodes - 1)
+    return nodes, draw(st.dictionaries(st.tuples(node, node), weight,
+                                       max_size=3 * nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_graphs())
+def test_gap_shortest_path_equals_dense_oracle(graph):
+    # bit for bit, with and without the stop at the last node: both run
+    # the same relaxations in the same order
+    nodes, edges = graph
+    for target in (None, nodes - 1):
+        got = shortest_path_from0(nodes, edges, target=target)
+        want = shortest_path_dense(gap_matrix(nodes, edges), target=target)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])

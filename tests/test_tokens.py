@@ -248,3 +248,37 @@ class TestOperators:
         ds = ray_session.data.from_arrow(NULL_TEXT)
         with pytest.raises(Exception, match="text is null at doc_id 7"):
             textstats.top_terms(ds)
+
+
+class TestExtraction:
+    def test_pdf_and_html_chunks_keep_edge_non_separators(self, ray_session,
+                                                          tmp_path):
+        # doc_id % 10 picks the family: 4 is html, 5 is pdf.  Each text's
+        # 8-token chunks start or end with a character that RE2's \s does
+        # not match (so it belongs to a token) but str.strip() strips.
+        import shutil
+        import uuid
+
+        texts = {
+            4: "\vab cd ef gh ij kl mn op\xa0 qr st uv wx\v",
+            14: "\xa0abcdefghij kl mn op qr st uv wx\v yz",
+            5: "\vab cd ef gh ij kl mn op\xa0 qr\xa0",
+            15: "\v\xa0 ab cd ef gh ij kl mn \v",
+        }
+        docs = _table(list(texts), list(texts.values()), ["en"] * len(texts))
+        tag = f"edge-ws-{uuid.uuid4().hex}"  # derived corpora cache by name
+        sf_dir = tmp_path / tag
+        sf_dir.mkdir()
+        pq.write_table(docs, sf_dir / "documents.parquet")
+        con = duckdb.connect()
+        con.register("documents", docs)
+        try:
+            mine = canon(to_pandas(entrymod.queries()["extract_align"](
+                str(sf_dir))))
+        finally:
+            shutil.rmtree(os.path.join(entrymod._CACHE_ROOT, tag),
+                          ignore_errors=True)
+        want = canon(con.execute(entrymod.oracle_sql()["extract_align"])
+                     .fetchdf())
+        assert len(want) == 7
+        _agree("extract_align", mine, want)
